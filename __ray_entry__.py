@@ -26,7 +26,6 @@ def entry() -> Any:
     import ray.data
 
     from oluray.pipelines import flagship
-    from oluray.pipelines.queries import q_image_decode  # noqa: F401 (same synth path)
     from oluray.sources import fixtures
 
     sf_dir = "/root/testdata/sf0.001"

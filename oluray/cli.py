@@ -17,7 +17,8 @@ Mapping of the reference's surface:
 - `-t/--timestamp TS`             -> start timestamp
 - `-o/--sparql-output MODE`       -> endpoint | file | debug_file
   (`Config.h:55-63`); file modes write the update artifact via
-  `--sparql-output-file` instead of committing
+  `--sparql-output-file` instead of committing; they apply to
+  `--input` only (with `--file-server` they are rejected, exit 2)
 - exactly-one-of input/file-server, input-must-be-a-directory and
   mode validations mirror `Config.cpp:121-146` (exit code 2)
 
@@ -111,6 +112,13 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(
             f"--sparql-output {args.sparql_output} requires "
             "--sparql-output-file"
+        )
+    # the replication loop always commits to the store; a file mode
+    # ("write the update, do not apply it") is only served for --input
+    if args.sparql_output != "endpoint" and args.file_server is not None:
+        return _fail(
+            f"--sparql-output {args.sparql_output} is only supported "
+            "with --input, not with --file-server"
         )
 
     import ray

@@ -88,8 +88,13 @@ def poly_centroids(polys: pa.Table) -> dict[int, tuple[float, float]]:
     this runs once per window over the DIFF-sized polygon table, but
     cheap is cheap)."""
     ring = polys["ring"].combine_chunks()
+    if ring.null_count:
+        raise ValueError("poly_centroids: every polygon needs a ring")
     flat = pc.list_flatten(ring)
     offs = ring.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    # list_flatten re-bases the vertices; the offsets of a sliced
+    # ListArray stay absolute
+    offs -= offs[0]
     lon = flat.field("lon").to_numpy(zero_copy_only=False)
     lat = flat.field("lat").to_numpy(zero_copy_only=False)
     n = np.diff(offs).astype(np.float64)

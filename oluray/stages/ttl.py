@@ -455,21 +455,22 @@ def write_ttl_shards(blocks: ray.data.Dataset, out_dir: str) -> int:
         f.write("\n".join(TTL_PREFIXES) + "\n")
 
     def dump(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"rows": pa.array([], pa.int64())})
-        ids = t["id"].to_numpy(zero_copy_only=False)
-        kind = t["kind"][0].as_py()
-        # deterministic name; the id-set digest disambiguates blocks
-        # whose (kind, min, max) coincide
         import hashlib
 
-        digest = hashlib.sha1(np.sort(ids).tobytes()).hexdigest()[:10]
-        p = os.path.join(
-            out_dir, f"part-{kind}-{ids.min()}-{ids.max()}-{digest}.ttl"
-        )
-        with open(p, "w", encoding="utf-8") as f:
-            for txt in t["text"].to_pylist():
-                f.write(txt + "\n")
+        kinds = t["kind"].to_numpy(zero_copy_only=False)
+        # one shard per kind: a batch may span blocks of several kinds
+        for kind in np.unique(kinds):
+            part = t.filter(pa.array(kinds == kind))
+            ids = part["id"].to_numpy(zero_copy_only=False)
+            # deterministic name; the id-set digest disambiguates
+            # blocks whose (kind, min, max) coincide
+            digest = hashlib.sha1(np.sort(ids).tobytes()).hexdigest()[:10]
+            p = os.path.join(
+                out_dir, f"part-{kind}-{ids.min()}-{ids.max()}-{digest}.ttl"
+            )
+            with open(p, "w", encoding="utf-8") as f:
+                for txt in part["text"].to_pylist():
+                    f.write(txt + "\n")
         return pa.table({"rows": pa.array([len(t)], pa.int64())})
 
     n = blocks.map_batches(dump, batch_format="pyarrow").sum("rows")

@@ -118,12 +118,8 @@ def test_cli_file_mode_no_commit(ray_session, store_dir, tmp_path, capsys):
     assert "store_buckets" not in w
 
 
-def test_cli_replication_mode(ray_session, tmp_path, capsys):
-    """--file-server over a local replication mirror: bootstraps,
-    consumes to latest, second run reports up-to-date."""
-    osm = str(tmp_path / "snap.osm")
-    _write_osm(osm)
-    mirror = str(tmp_path / "mirror")
+def _write_mirror(mirror: str) -> None:
+    """Local replication mirror holding one sequence that moves node 3."""
     rows = [
         {"op": "modify", "kind": "node", "id": 3, "version": 2,
          "ts": 1_700_000_002_000,
@@ -138,6 +134,15 @@ def test_cli_replication_mode(ray_session, tmp_path, capsys):
         f.write(gzip.compress(osc.write_osc(rows).encode()))
     with open(os.path.join(mirror, "state.txt"), "w") as f:
         f.write("sequenceNumber=1\ntimestamp=2024-01-01T00\\:00\\:00Z\n")
+
+
+def test_cli_replication_mode(ray_session, tmp_path, capsys):
+    """--file-server over a local replication mirror: bootstraps,
+    consumes to latest, second run reports up-to-date."""
+    osm = str(tmp_path / "snap.osm")
+    _write_osm(osm)
+    mirror = str(tmp_path / "mirror")
+    _write_mirror(mirror)
 
     store_dir = str(tmp_path / "store")
     # replication mode cannot bootstrap and consume in one arg set
@@ -156,6 +161,23 @@ def test_cli_replication_mode(ray_session, tmp_path, capsys):
     assert rc == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out.get("up_to_date") is True
+
+
+@pytest.mark.parametrize("mode", ["file", "debug_file"])
+def test_cli_file_server_rejects_file_modes(ray_session, tmp_path, mode):
+    """The replication loop always commits, so a file mode ("write the
+    update, do not apply it") with --file-server is an argument error,
+    not a silent commit."""
+    osm = str(tmp_path / "snap.osm")
+    _write_osm(osm)
+    mirror = str(tmp_path / "mirror")
+    _write_mirror(mirror)
+    store_dir = str(tmp_path / "store")
+    rc = cli.main([store_dir, "-f", mirror, "--init-osm", osm, "-s", "1",
+                   "-o", mode, "--sparql-output-file",
+                   str(tmp_path / "artifact")])
+    assert rc == cli.EXIT_BAD_ARGS
+    assert not os.path.exists(store_dir)
 
 
 def test_cli_second_change_set_applies(ray_session, tmp_path, capsys):

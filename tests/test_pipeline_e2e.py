@@ -2,6 +2,7 @@
 brute-force O(n*m) pure-python oracle (FIXTURES.md §5)."""
 
 import numpy as np
+import pytest
 import ray.data
 
 from oluray.functions import geo, imagecodec
@@ -131,3 +132,34 @@ def test_materialize_tiles_bytes_rejoin(tmp_path):
     fins = {k: p["finished_at"] for k, p in man.partitions.items()}
     man2 = flagship.materialize_tiles(ds, adir, bdir, "w1", num_partitions=8)
     assert {k: p["finished_at"] for k, p in man2.partitions.items()} == fins
+
+
+def test_poly_centroids_on_sliced_table():
+    """A sliced polygon table keeps absolute list offsets while
+    `list_flatten` re-bases the vertices; centroids must still be the
+    per-ring vertex means."""
+    polys = fixtures.make_change_polys(5, seed=7)
+    got = flagship.poly_centroids(polys.slice(1))
+    want = {
+        p["poly_id"]: (np.mean([v["lon"] for v in p["ring"]]),
+                       np.mean([v["lat"] for v in p["ring"]]))
+        for p in polys.slice(1).to_pylist()
+    }
+    assert got.keys() == want.keys()
+    for pid, (lon, lat) in want.items():
+        assert got[pid] == (pytest.approx(lon), pytest.approx(lat))
+
+
+def test_poly_centroids_rejects_null_ring():
+    """A null ring is a zero-length segment: its 'centroid' would be a
+    division by zero over a neighbour's vertex, so it is refused."""
+    import pyarrow as pa
+
+    polys = fixtures.make_change_polys(3, seed=7)
+    rings = polys["ring"].to_pylist()
+    rings[1] = None
+    broken = polys.set_column(
+        polys.schema.get_field_index("ring"), "ring",
+        pa.array(rings, polys.schema.field("ring").type))
+    with pytest.raises(ValueError, match="ring"):
+        flagship.poly_centroids(broken)

@@ -246,3 +246,31 @@ def test_filter_empty_sets():
         ttls.parse_triples(ds), empty, empty, empty
     )
     assert out.take_all() == []
+
+
+def test_write_ttl_shards_splits_mixed_kind_batch(tmp_path):
+    """A batch holding blocks of several kinds writes one shard per
+    kind, each named after the kind of every block inside it."""
+    import os
+
+    import ray.data
+
+    ids = [1, 2, 10, 3, 11, 100]
+    kinds = ["node", "node", "way", "node", "way", "relation"]
+    ns = {"node": "osmnode", "way": "osmway", "relation": "osmrel"}
+    blocks = pa.table({
+        "kind": kinds,
+        "id": pa.array(ids, pa.int64()),
+        "text": [f"{ns[k]}:{i} rdf:type osm:{k} ." for k, i in zip(kinds, ids)],
+    })
+    d = str(tmp_path / "shards")
+    assert ttls.write_ttl_shards(ray.data.from_arrow(blocks), d) == len(ids)
+    seen = []
+    for name in sorted(os.listdir(d)):
+        if not name.startswith("part-"):
+            continue
+        kind = name.split("-")[1]
+        lines = open(os.path.join(d, name)).read().splitlines()
+        assert all(ln.startswith(f"{ns[kind]}:") for ln in lines), name
+        seen += lines
+    assert sorted(seen) == sorted(blocks["text"].to_pylist())
