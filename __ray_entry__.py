@@ -79,7 +79,7 @@ def entry() -> Any:
     lon, lat = fixtures.footprint_from_phash(ph)
     centers = [(float(lon[i]), float(lat[i])) for i in range(0, len(lon), 8)]
     polys = fixtures.make_change_polys(8, seed=42, span_deg=20.0, centers=centers[:6])
-    return flagship.assignments_pipeline(images, polys, pip_res=7, concurrency=4)
+    return flagship.assignments_pipeline(images, polys, pip_res=7)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -5,7 +5,7 @@ The end-to-end recomposition of the reference's run loop
 north-rule payload:
 
   images (Lance/Parquet) ──project (no bytes!)──► footprints
-      ─► cell encode ─► PIP join vs changeset polygons (actor-pool
+      ─► cell encode ─► PIP join vs changeset polygons (driver-built
       index, cell-cover prefilter) ─► nearest-feature dist (broadcast
       centroids, no shuffle) ─► tile cover explode ─► assignments,
       written as per-partition parquet with a checkpoint manifest
@@ -67,8 +67,8 @@ def _centroid_arrays(cent_ref):
 def add_centroid_dist(batch: pa.Table, cent_ref) -> pa.Table:
     """dist_m from each assigned point to its polygon's centroid —
     broadcast centroid lookup (`ray.get` hits the local object store),
-    vectorized take, NO shuffle. A stateless task stage: cheap enough
-    that an actor pool would only steal CPUs from the PIP pool."""
+    vectorized take, NO shuffle. A stateless task stage, like the PIP
+    join before it."""
     ids, clon, clat = _centroid_arrays(cent_ref)
     pid = batch["poly_id"].to_numpy(zero_copy_only=False)
     pos = np.searchsorted(ids, pid)
@@ -115,7 +115,6 @@ def assignments_pipeline(
     pip_res: int = 8,
     tile_res: int = 12,
     part_res: int = 2,
-    concurrency: int = 4,
     batch_size: int = 32768,
 ) -> ray.data.Dataset:
     """images x changeset polygons -> assignments rows."""
@@ -123,8 +122,7 @@ def assignments_pipeline(
         images.select_columns(["image_id", "phash", "w", "h", "caption"])
     )
     hits = pip_join(
-        pts, polys, res=pip_res, id_col="image_id",
-        concurrency=concurrency, batch_size=batch_size,
+        pts, polys, res=pip_res, id_col="image_id", batch_size=batch_size,
         carry_cols=("caption", "w", "h"),
     )
     cent_ref = ray.put(poly_centroids(polys))

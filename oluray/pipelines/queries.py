@@ -451,7 +451,7 @@ def q_knn_assign(sf_dir: str):
     fid = [f[0] for f in KNN_FEATURES]
     flon = [f[1] for f in KNN_FEATURES]
     flat_ = [f[2] for f in KNN_FEATURES]
-    out = spatial.knn_join(pts, fid, flon, flat_, k=1, id_col="c_custkey", concurrency=4)
+    out = spatial.knn_join(pts, fid, flon, flat_, k=1, id_col="c_custkey")
     return out.select_columns(["c_custkey", "feature_id", "dist_m"])
 
 

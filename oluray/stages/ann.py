@@ -111,12 +111,11 @@ def _final_topk(cand, k: int, round_digits: int):
     return cand.groupby("query_id").map_groups(final, batch_format="pandas")
 
 
-# Process-local memoized stage instances for stateless-task execution
-# (same rationale as spatial._PIP_STAGE_CACHE: ANN stage state is tiny
-# — a query matrix, centroids, hyperplanes — so paying actor-pool
-# cold-start (~1-2 s per pool PER PIPELINE EXECUTION) to keep it
-# resident is a net loss; a task memoizes the construction per worker
-# process instead). NOT cleared per insert: one pipeline legitimately
+# Process-local memoized stage instances for stateless-task execution.
+# ANN stage state is tiny — a query matrix, centroids, hyperplanes — so
+# paying actor-pool cold-start (~1-2 s per pool PER PIPELINE EXECUTION)
+# to keep it resident is a net loss; a task memoizes the construction
+# per worker process instead. NOT cleared per insert: one pipeline legitimately
 # interleaves two stages (assign + probe) in the same worker, and
 # clearing would rebuild each per batch. Capped small; entries are KB.
 _ANN_STAGE_CACHE: dict = {}

@@ -6,17 +6,17 @@ re-running osm2rdf on dummy-element XML, geometry work happens
 in-engine as vectorized `map_batches` stages:
 
 - `CellEncode` — point -> hierarchical cell id (stateless task).
-- `PolygonIndexStage` — **actor pool**: each actor builds, ONCE in
-  `__init__`, a cell -> candidate-polygon inverted index from the
-  broadcast polygon table (`ray.put` once on the driver), then per
-  batch does candidate lookup + exact ray-casting refine. This is the
-  ST4 analog (prebuilt spatial index per worker) and the J1-J6
-  closure re-expressed spatially: "which changed polygons affect this
-  image footprint".
-- `KnnStage` — actor pool holding a cell-bucketed feature index;
-  k-ring expansion generates candidates, exact haversine refines.
-  `knn_brute` is the small-side baseline (numpy broadcast matmul
-  shape) used by the SQL oracle.
+- `pip_join` / `pip_anti` — the driver builds one `PolygonIndex` per
+  call (a cell -> candidate-polygon CSR plus the flattened rings) and
+  `ray.put`s it once; stateless tasks `ray.get` it zero-copy and per
+  batch do candidate lookup + exact ray-casting refine. This is the
+  ST4 analog (one prebuilt spatial index shared by every worker) and
+  the J1-J6 closure re-expressed spatially: "which changed polygons
+  affect this image footprint".
+- `knn_join` — the same shape with a `KnnIndex` (cell-bucketed
+  features plus a per-cell candidate CSR); k-ring expansion generates
+  candidates, exact haversine refines. `knn_brute` is the small-side
+  baseline (numpy broadcast matmul shape) used by the SQL oracle.
 - `tile_cover` — raster->vector: each image's footprint bbox (scaled
   by decoded w x h) -> covering cell set, exploded to rows.
 
@@ -52,65 +52,39 @@ def add_cell_column(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def polygons_to_numpy(polys: pa.Table) -> list[dict]:
-    """Materialize the (small) polygon table into plain numpy rings."""
-    out = []
-    for row in polys.to_pylist():
-        ring = row["ring"]
-        out.append(
-            {
-                "poly_id": row["poly_id"],
-                "op": row["op"],
-                "lon": np.array([v["lon"] for v in ring]),
-                "lat": np.array([v["lat"] for v in ring]),
-            }
-        )
-    return out
+class PolygonIndex:
+    """Cell -> candidate-polygon index over one polygon table, built
+    once on the driver and shipped to stateless tasks by `ray.put`.
 
-
-def build_polygon_index(polys: list[dict], res: int) -> dict:
-    """cell id -> list of polygon indices whose cover includes it."""
-    index: dict[int, list[int]] = {}
-    for i, p in enumerate(polys):
-        for c in geo.polygon_cover(p["lon"], p["lat"], res).tolist():
-            index.setdefault(c, []).append(i)
-    return index
-
-
-class PolygonIndexStage:
-    """Actor-pool PIP join: points x broadcast polygons.
-
-    __init__ (once per actor): fetch polygons from the object store,
-    build the cell->polygons inverted index. __call__ (per batch):
-    cell-cover prefilter then exact ray-casting refine; emits one row
-    per (point, containing polygon).
+    Every field is an array, so a task's `ray.get` maps it zero-copy:
+    the rings flattened to (ring_lon, ring_lat, ring_offs), `poly_id`
+    and `op` as Arrow columns, and the cell -> polygons index as CSR
+    (sorted cell ids, offsets into a flat polygon-index array).
     """
 
-    def __init__(self, polys_ref, res: int = 8, id_col: str = "image_id",
-                 lon_col: str = "lon", lat_col: str = "lat",
-                 carry_cols: tuple[str, ...] = ()):
-        self.polys = ray.get(polys_ref)
+    def __init__(self, polys: pa.Table, res: int = 8):
         self.res = res
-        self.id_col, self.lon_col, self.lat_col = id_col, lon_col, lat_col
-        self.carry_cols = carry_cols
-        self.index = build_polygon_index(self.polys, res)
-        # CSR view of the cell->polys index for vectorized lookup:
-        # sorted cell array + offsets into a flat poly-id array
-        cells_sorted = np.array(sorted(self.index), dtype=np.int64)
-        offs = np.zeros(len(cells_sorted) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, c in enumerate(cells_sorted.tolist()):
-            flat.extend(self.index[c])
-            offs[i + 1] = len(flat)
-        self.idx_cells = cells_sorted
-        self.idx_offs = offs
-        self.idx_polys = np.array(flat, dtype=np.int64)
+        self.ring_lon, self.ring_lat, self.ring_offs = _ring_arrays(polys["ring"])
+        self.poly_id = polys["poly_id"].combine_chunks().cast(pa.int64())
+        self.op = polys["op"].combine_chunks().cast(pa.string())
+        covers = [
+            geo.polygon_cover(self.ring_lon[s:e], self.ring_lat[s:e], res)
+            for s, e in zip(self.ring_offs[:-1], self.ring_offs[1:])
+        ]
+        cells = np.concatenate(covers) if covers else np.array([], dtype=np.int64)
+        owner = np.repeat(np.arange(len(covers), dtype=np.int64),
+                          [len(c) for c in covers])
+        # stable sort: within a cell, polygons stay in table order
+        order = np.argsort(cells, kind="stable")
+        self.idx_cells, starts = np.unique(cells[order], return_index=True)
+        self.idx_offs = np.append(starts, len(cells)).astype(np.int64)
+        self.idx_polys = owner[order]
 
-    def _hits(self, lon: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def hits(self, lon: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row indices, polygon indices) of every containment hit —
-        the shared core of the join (`__call__`) and the anti filter
-        (`hit_mask`): cell-cover prefilter via CSR binary search, then
-        exact ray-casting refine per candidate polygon."""
+        the shared core of the join and the anti filter: cell-cover
+        prefilter via CSR binary search, then exact ray-casting refine
+        per candidate polygon."""
         cells = geo.cell_encode(lon, lat, self.res)
         # fully vectorized candidate generation: binary-search each
         # point's cell in the CSR index, expand to (row, poly) pairs
@@ -142,8 +116,10 @@ class PolygonIndexStage:
         bounds = np.append(starts, len(sp))
         for i, pi in enumerate(uniq.tolist()):
             idx = pair_rows[order[bounds[i] : bounds[i + 1]]]
-            p = self.polys[pi]
-            inside = geo.point_in_polygon(lon[idx], lat[idx], p["lon"], p["lat"])
+            s, e = self.ring_offs[pi], self.ring_offs[pi + 1]
+            inside = geo.point_in_polygon(
+                lon[idx], lat[idx], self.ring_lon[s:e], self.ring_lat[s:e]
+            )
             hit = idx[inside]
             if len(hit):
                 out_rows.append(hit)
@@ -152,95 +128,55 @@ class PolygonIndexStage:
             return np.concatenate(out_rows), np.concatenate(out_poly)
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
 
-    def hit_mask(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        """Boolean per row: inside at least one polygon."""
-        mask = np.zeros(len(lon), dtype=bool)
-        rows_idx, _ = self._hits(lon, lat)
-        mask[rows_idx] = True
-        return mask
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
-        rows_idx, poly_idx = self._hits(lon, lat)
-        cols = {
-            self.id_col: pa.compute.take(batch[self.id_col], pa.array(rows_idx)),
-            "poly_id": pa.array([self.polys[i]["poly_id"] for i in poly_idx], pa.int64()),
-            "op": pa.array([self.polys[i]["op"] for i in poly_idx], pa.string()),
-            "lon": pa.array(lon[rows_idx]),
-            "lat": pa.array(lat[rows_idx]),
-        }
-        for c in self.carry_cols:
-            cols[c] = pa.compute.take(batch[c], pa.array(rows_idx))
-        return pa.table(cols)
-
-
-# process-local index cache: Ray worker processes are long-lived and
-# run many tasks, so a stateless-task PIP join can still amortize the
-# index build (83ms for 64 polygons) across every task the worker
-# runs — without paying actor-pool cold-start (~2s x pool size) per
-# pipeline execution. Keyed by the broadcast ObjectRef hex.
-_PIP_STAGE_CACHE: dict = {}
-
-
-def _pip_task(batch: pa.Table, polys_ref, res, id_col, carry_cols) -> pa.Table:
-    key = (polys_ref.hex(), res, id_col, tuple(carry_cols))
-    stage = _PIP_STAGE_CACHE.get(key)
-    if stage is None:
-        stage = PolygonIndexStage(
-            polys_ref, res=res, id_col=id_col, carry_cols=tuple(carry_cols)
-        )
-        _PIP_STAGE_CACHE.clear()  # hold at most one index per worker
-        _PIP_STAGE_CACHE[key] = stage
-    return stage(batch)
+def _pip_join_batch(batch: pa.Table, index_ref, id_col, carry_cols) -> pa.Table:
+    """One row per (point, containing polygon)."""
+    index: PolygonIndex = ray.get(index_ref)
+    lon = batch["lon"].to_numpy(zero_copy_only=False)
+    lat = batch["lat"].to_numpy(zero_copy_only=False)
+    rows_idx, poly_idx = index.hits(lon, lat)
+    rows, polys = pa.array(rows_idx), pa.array(poly_idx)
+    cols = {
+        id_col: pa.compute.take(batch[id_col], rows),
+        "poly_id": pa.compute.take(index.poly_id, polys),
+        "op": pa.compute.take(index.op, polys),
+        "lon": pa.array(lon[rows_idx]),
+        "lat": pa.array(lat[rows_idx]),
+    }
+    for c in carry_cols:
+        cols[c] = pa.compute.take(batch[c], rows)
+    return pa.table(cols)
 
 
 def pip_join(
     points: ray.data.Dataset, polys: pa.Table, res: int = 8,
-    id_col: str = "image_id", concurrency: int | tuple | None = None,
+    id_col: str = "image_id", concurrency: int | None = None,
     batch_size: int = 32768, carry_cols: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
     """points x polygons containment join (cell prefilter + exact PIP).
 
-    Default: stateless tasks with a process-local memoized index
-    (cheap init, elastic, no pool cold-start). Pass `concurrency` to
-    force an actor pool instead — appropriate when the polygon set is
-    big enough that the index build must be strictly once-per-worker.
+    The driver builds one `PolygonIndex` per call and `ray.put`s it;
+    stateless tasks apply it batch by batch, emitting one row per
+    (point, containing polygon) with `carry_cols` copied along.
+    `concurrency`, if given, caps the number of concurrent tasks.
     """
-    polys_ref = ray.put(polygons_to_numpy(polys))
-    if concurrency is None:
-        return points.map_batches(
-            _pip_task,
-            fn_kwargs=dict(polys_ref=polys_ref, res=res, id_col=id_col,
-                           carry_cols=carry_cols),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    index_ref = ray.put(PolygonIndex(polys, res))
     return points.map_batches(
-        PolygonIndexStage,
-        fn_constructor_kwargs=dict(polys_ref=polys_ref, res=res, id_col=id_col,
-                                   carry_cols=carry_cols),
+        _pip_join_batch,
+        fn_kwargs=dict(index_ref=index_ref, id_col=id_col, carry_cols=carry_cols),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # int -> autoscaling (1, c), same convention as knn_join: a
-        # fixed-size pool pays c cold-starts even for tiny inputs
-        concurrency=concurrency
-        if isinstance(concurrency, tuple)
-        else (1, concurrency),
+        concurrency=concurrency,
     )
 
 
-def _pip_anti_task(batch: pa.Table, polys_ref, res, lon_col, lat_col) -> pa.Table:
-    key = (polys_ref.hex(), res, "__anti__")
-    stage = _PIP_STAGE_CACHE.get(key)
-    if stage is None:
-        stage = PolygonIndexStage(polys_ref, res=res, lon_col=lon_col,
-                                  lat_col=lat_col)
-        _PIP_STAGE_CACHE.clear()
-        _PIP_STAGE_CACHE[key] = stage
+def _pip_anti_batch(batch: pa.Table, index_ref, lon_col, lat_col) -> pa.Table:
+    index: PolygonIndex = ray.get(index_ref)
     lon = batch[lon_col].to_numpy(zero_copy_only=False)
     lat = batch[lat_col].to_numpy(zero_copy_only=False)
-    return batch.filter(pa.array(~stage.hit_mask(lon, lat)))
+    inside = np.zeros(len(lon), dtype=bool)
+    inside[index.hits(lon, lat)[0]] = True
+    return batch.filter(pa.array(~inside))
 
 
 def pip_anti(
@@ -253,11 +189,10 @@ def pip_anti(
     the anti side never needs the join output (contrast a relational
     anti join, which must see the matched key set). All input columns
     pass through."""
-    polys_ref = ray.put(polygons_to_numpy(polys))
+    index_ref = ray.put(PolygonIndex(polys, res))
     return points.map_batches(
-        _pip_anti_task,
-        fn_kwargs=dict(polys_ref=polys_ref, res=res, lon_col=lon_col,
-                       lat_col=lat_col),
+        _pip_anti_batch,
+        fn_kwargs=dict(index_ref=index_ref, lon_col=lon_col, lat_col=lat_col),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
@@ -573,11 +508,23 @@ def knn_brute(
 _M_PER_DEG = np.pi * geo.EARTH_RADIUS_M / 180.0  # meters per degree of latitude
 
 
-class KnnStage:
-    """Actor-pool nearest-feature assignment (exact result).
+def _chunks(sizes: np.ndarray, budget: int = 1 << 19):
+    """Consecutive (lo, hi) ranges over `sizes`, each summing to at most
+    `budget` plus one item: bounds the memory of a vectorized pass that
+    expands item i to `sizes[i]` rows."""
+    cum = np.cumsum(sizes)
+    cuts = np.searchsorted(cum, np.arange(budget, cum[-1], budget), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(sizes)])))
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
-    Features (id, lon, lat) are broadcast once; each actor builds a
-    cell-bucketed inverted index in __init__ (the IVF-style scale
+
+class KnnIndex:
+    """Cell-bucketed feature index for exact nearest-feature assignment.
+
+    Built once per `knn_join` call on the driver and shipped to stateless
+    tasks by `ray.put`; every field is a numpy array, so a task's
+    `ray.get` maps it zero-copy. Features (id, lon, lat) are bucketed
+    by cell, as CSR over the sorted occupied cells (the IVF-style scale
     path). Per batch, points are grouped by cell; per cell the search
     (1) expands a square ring until any candidate is found, (2) takes
     the k-th best distance found as radius d, (3) converts d into an
@@ -589,9 +536,7 @@ class KnnStage:
 
     MAX_PROBE_RING = 64
 
-    def __init__(self, feats_ref, res: int = 6, k: int = 1,
-                 id_col: str = "image_id", lon_col: str = "lon", lat_col: str = "lat"):
-        fid, flon, flat_ = ray.get(feats_ref)
+    def __init__(self, fid, flon, flat_, res: int = 6, k: int = 1):
         self.fid = np.asarray(fid, dtype=np.int64)
         self.flon = np.asarray(flon, dtype=np.float64)
         self.flat = np.asarray(flat_, dtype=np.float64)
@@ -600,18 +545,14 @@ class KnnStage:
         # the output assembly sizes columns by self.k — an unclamped k
         # produced mismatched column lengths (r2 review)
         self.res, self.k = res, min(k, len(self.fid))
-        self.id_col, self.lon_col, self.lat_col = id_col, lon_col, lat_col
         self.n_grid = 1 << res
         self.cell_h_m = (180.0 / self.n_grid) * _M_PER_DEG
         self.cell_w_deg = 360.0 / self.n_grid
-        self.buckets: dict[int, np.ndarray] = {}
         cells = geo.cell_encode(self.flon, self.flat, res)
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        uniq, starts = np.unique(sorted_cells, return_index=True)
-        bounds = np.append(starts, len(sorted_cells))
-        for i, c in enumerate(uniq):
-            self.buckets[int(c)] = order[bounds[i] : bounds[i + 1]]
+        self.bucket_feats = np.argsort(cells, kind="stable")
+        self.bucket_cells, starts = np.unique(cells[self.bucket_feats],
+                                              return_index=True)
+        self.bucket_offs = np.append(starts, len(cells)).astype(np.int64)
         self.brute = len(self.fid) <= 64
         # k=1..k fast path: precompute, per GRID cell, a candidate set
         # guaranteed to contain every point-in-cell's true k nearest
@@ -636,72 +577,116 @@ class KnnStage:
         self.fz32 = self.fz.astype(np.float32)
         self.pre_offs = None
         if not self.brute and res <= 8:
-            self._precompute_cell_candidates()
+            self._precompute_cell_candidates(cells)
 
-    def _precompute_cell_candidates(self) -> None:
-        n = self.n_grid
-        offs = np.zeros(n * n + 1, dtype=np.int64)
-        cand_lists: list[np.ndarray] = []
-        total = 0
-        # cell corner lon/lat grids
-        for cy in range(n):
-            lat0 = -90.0 + 180.0 * cy / n
-            lat1 = lat0 + 180.0 / n
-            for cx in range(n):
-                lon0 = -180.0 + 360.0 * cx / n
-                lon1 = lon0 + 360.0 / n
-                ring = 0
-                S = np.array([], dtype=np.int64)
-                while len(S) < self.k and ring <= self.MAX_PROBE_RING:
-                    S = self._gather_rect(cx, cy, ring, ring)
-                    ring += 1
-                if len(S) < self.k:
-                    S = np.arange(len(self.fid))
-                # bound: k-th smallest of max-corner distances
-                clon = np.array([lon0, lon0, lon1, lon1])
-                clat = np.array([lat0, lat1, lat0, lat1])
-                dmax = np.max(
-                    geo.haversine_m(
-                        np.repeat(self.flon[S], 4), np.repeat(self.flat[S], 4),
-                        np.tile(clon, len(S)), np.tile(clat, len(S)),
-                    ).reshape(len(S), 4),
-                    axis=1,
-                )
-                D = np.partition(dmax, self.k - 1)[self.k - 1]
-                ry = int(np.ceil(D / self.cell_h_m)) + 1
-                lat_edge = min(89.0, max(abs(lat0), abs(lat1)) + ry * 180.0 / n)
-                cosl = max(np.cos(np.radians(lat_edge)), 0.02)
-                rx = int(np.ceil(D / (self.cell_w_deg * _M_PER_DEG * cosl))) + 1
-                cand = self._gather_rect(cx, cy, rx, ry)
-                if len(cand) < self.k:
-                    cand = np.arange(len(self.fid))
-                elif len(cand) > self.k:
-                    # prune: f can be in some point's top-k only if
-                    # dist(f, cell) <= D; dist(f, cell) >=
-                    # min_corner_dist(f) - diag/2 => keep f with
-                    # min_corner_dist <= D + diag/2
-                    dmin_c = np.min(
-                        geo.haversine_m(
-                            np.repeat(self.flon[cand], 4),
-                            np.repeat(self.flat[cand], 4),
-                            np.tile(clon, len(cand)), np.tile(clat, len(cand)),
-                        ).reshape(len(cand), 4),
-                        axis=1,
-                    )
-                    diag = geo.haversine_m(
-                        np.array([lon0]), np.array([lat0]),
-                        np.array([lon1]), np.array([lat1]),
-                    )[0]
-                    keep = dmin_c <= D + diag / 2.0
-                    if keep.sum() >= self.k:
-                        cand = cand[keep]
-                cand_lists.append(cand)
-                total += len(cand)
-                offs[cy * n + cx + 1] = total
-        self.pre_offs = offs
-        self.pre_cands = (
-            np.concatenate(cand_lists) if cand_lists else np.array([], dtype=np.int64)
-        )
+    def _precompute_cell_candidates(self, cells: np.ndarray) -> None:
+        """Per grid cell, the candidate features for every point in it,
+        for all cells at once: (1) the smallest square ring holding at
+        least k features; (2) D, the k-th smallest max-corner distance
+        over that ring's features; (3) the (lat-ring, lon-ring)
+        rectangle that covers D from every corner, widened by 1/cos(lat)
+        for meridian convergence; (4) prune a feature f unless
+        min_corner_dist(f) <= D + diag/2, since dist(f, cell) >=
+        min_corner_dist(f) - diag/2. A rectangle holding fewer than k
+        features falls back to all of them."""
+        n, nf, k = self.n_grid, len(self.fid), self.k
+        _, fx, fy = geo.cell_decode(cells)
+        flat_cell = fy * n + fx
+        grid_feats = np.argsort(flat_cell, kind="stable")
+        grid_offs = np.searchsorted(flat_cell[grid_feats], np.arange(n * n + 1))
+        # 2-D prefix sums of the per-cell feature counts over the grid
+        # tiled three times in lon, so a lon-wrapped run is contiguous
+        tiled = np.tile(np.diff(grid_offs).reshape(n, n), (1, 3))
+        csum = np.zeros((n + 1, 3 * n + 1), dtype=np.int64)
+        csum[1:, 1:] = tiled.cumsum(0).cumsum(1)
+
+        def rect(cx, cy, rx, ry):
+            # the distinct grid cells of `_gather_rect`'s rectangle:
+            # rows [y_lo, y_hi], `width` columns from x0 (lon-wrapped)
+            y_lo = np.maximum(cy - ry, 0)
+            y_hi = np.minimum(cy + ry, n - 1)
+            rx = np.minimum(rx, n // 2)
+            return y_lo, y_hi, cx - rx + n, np.minimum(2 * rx + 1, n)
+
+        def rect_count(cx, cy, rx, ry):
+            y_lo, y_hi, x0, width = rect(cx, cy, rx, ry)
+            x1 = x0 + width
+            return (csum[y_hi + 1, x1] - csum[y_lo, x1]
+                    - csum[y_hi + 1, x0] + csum[y_lo, x0])
+
+        def rect_members(cx, cy, rx, ry):
+            # CSR over the rectangles: each one's features, sorted by
+            # index, as `_gather_rect` returns them
+            y_lo, y_hi, x0, width = rect(cx, cy, rx, ry)
+            rows = y_hi - y_lo + 1
+            owner = np.repeat(np.arange(len(cx)), rows)
+            y = y_lo[owner] + np.arange(len(owner)) - np.repeat(
+                np.cumsum(rows) - rows, rows)
+            a = x0[owner] % n
+            b = a + width[owner]
+            wrap = b > n  # the run crosses the antimeridian: split it
+            owner = np.concatenate([owner, owner[wrap]])
+            lo = np.concatenate([y * n + a, y[wrap] * n])
+            hi = np.concatenate([y * n + np.minimum(b, n), y[wrap] * n + b[wrap] - n])
+            start, cnt = grid_offs[lo], grid_offs[hi] - grid_offs[lo]
+            pos = np.repeat(start - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+            key = np.sort(np.repeat(owner, cnt) * nf + grid_feats[pos])
+            owner = key // nf
+            offs = np.zeros(len(cx) + 1, dtype=np.int64)
+            offs[1:] = np.cumsum(np.bincount(owner, minlength=len(cx)))
+            return offs, owner, key % nf
+
+        cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        lat0 = -90.0 + 180.0 * cy / n
+        lat1 = lat0 + 180.0 / n
+        lon0 = -180.0 + 360.0 * cx / n
+        lon1 = lon0 + 360.0 / n
+        corners = ((lon0, lat0), (lon0, lat1), (lon1, lat0), (lon1, lat1))
+
+        def corner_dist(owner, f, reduce):
+            return reduce(np.stack([
+                geo.haversine_m(self.flon[f], self.flat[f], clon[owner], clat[owner])
+                for clon, clat in corners
+            ]), axis=0)
+
+        # (1) ring search; n rows and n // 2 columns cover the grid
+        ring = np.full(n * n, n, dtype=np.int64)
+        todo = np.arange(n * n)
+        for r in range(self.MAX_PROBE_RING + 1):
+            found = rect_count(cx[todo], cy[todo], r, r) >= k
+            ring[todo[found]] = r
+            todo = todo[~found]
+            if not len(todo):
+                break
+        # (2) D per cell
+        D = np.empty(n * n)
+        for lo, hi in _chunks(rect_count(cx, cy, ring, ring)):
+            offs, owner, f = rect_members(cx[lo:hi], cy[lo:hi], ring[lo:hi], ring[lo:hi])
+            dmax = corner_dist(owner + lo, f, np.max)
+            D[lo:hi] = dmax[np.lexsort((dmax, owner))][offs[:-1] + k - 1]
+        # (3) covering rectangle
+        ry = np.ceil(D / self.cell_h_m).astype(np.int64) + 1
+        lat_edge = np.minimum(
+            89.0, np.maximum(np.abs(lat0), np.abs(lat1)) + ry * 180.0 / n)
+        cosl = np.maximum(np.cos(np.radians(lat_edge)), 0.02)
+        rx = np.ceil(D / (self.cell_w_deg * _M_PER_DEG * cosl)).astype(np.int64) + 1
+        size = rect_count(cx, cy, rx, ry)
+        few = size < k
+        rx[few], ry[few], size[few] = n // 2, n, nf
+        # (4) prune, where at least k features survive
+        bound = D + geo.haversine_m(lon0, lat0, lon1, lat1) / 2.0
+        kept_n = np.zeros(n * n, dtype=np.int64)
+        kept = []
+        for lo, hi in _chunks(size):
+            offs, owner, cand = rect_members(cx[lo:hi], cy[lo:hi], rx[lo:hi], ry[lo:hi])
+            keep = corner_dist(owner + lo, cand, np.min) <= bound[lo:hi][owner]
+            n_keep = np.bincount(owner[keep], minlength=hi - lo)
+            keep |= ~((np.diff(offs) > k) & (n_keep >= k))[owner]
+            kept.append(cand[keep])
+            kept_n[lo:hi] = np.bincount(owner[keep], minlength=hi - lo)
+        self.pre_cands = np.concatenate(kept)
+        self.pre_offs = np.zeros(n * n + 1, dtype=np.int64)
+        self.pre_offs[1:] = np.cumsum(kept_n)
 
     def _knn_vectorized(self, lon: np.ndarray, lat: np.ndarray):
         """Fully vectorized exact kNN via the precomputed per-cell CSR."""
@@ -811,19 +796,21 @@ class KnnStage:
         """Feature indices in the cell rectangle |dx|<=rx (lon-wrapped),
         |dy|<=ry (lat-clamped) around (cx, cy)."""
         n = self.n_grid
-        out = []
         y_lo, y_hi = max(0, cy - ry), min(n - 1, cy + ry)
         rx = min(rx, n // 2)
-        for dy in range(y_lo, y_hi + 1):
-            base = np.int64(self.res) * np.int64(geo.RES_SHIFT) + np.int64(dy) * np.int64(geo.Y_SHIFT)
-            for dx in range(-rx, rx + 1):
-                c = int(base + (cx + dx) % n)
-                b = self.buckets.get(c)
-                if b is not None:
-                    out.append(b)
-        if not out:
+        ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
+        xs = (cx + np.arange(-rx, rx + 1, dtype=np.int64)) % n
+        want = (np.int64(self.res) * np.int64(geo.RES_SHIFT)
+                + ys[:, None] * np.int64(geo.Y_SHIFT) + xs[None, :]).ravel()
+        pos = np.searchsorted(self.bucket_cells, want)
+        ok = pos < len(self.bucket_cells)
+        ok[ok] = self.bucket_cells[pos[ok]] == want[ok]
+        start, stop = self.bucket_offs[pos[ok]], self.bucket_offs[pos[ok] + 1]
+        if not len(start):
             return np.array([], dtype=np.int64)
-        return np.unique(np.concatenate(out))
+        return np.unique(np.concatenate(
+            [self.bucket_feats[a:b] for a, b in zip(start.tolist(), stop.tolist())]
+        ))
 
     def _knn_cell(self, cx: int, cy: int, lon: np.ndarray, lat: np.ndarray):
         """Exact kNN for all points sharing one cell."""
@@ -867,9 +854,10 @@ class KnnStage:
                     cand = cand2
         return cand[part], dbest
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
+    def assign(self, batch: pa.Table, id_col: str) -> pa.Table:
+        """One row per (point, rank) for the k nearest features."""
+        lon = batch["lon"].to_numpy(zero_copy_only=False)
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
         n = len(lon)
         idx = np.empty((n, self.k), dtype=np.int64)
         dist = np.empty((n, self.k), dtype=np.float64)
@@ -891,7 +879,7 @@ class KnnStage:
         reps = np.repeat(np.arange(n), self.k)
         return pa.table(
             {
-                self.id_col: pa.compute.take(batch[self.id_col], pa.array(reps)),
+                id_col: pa.compute.take(batch[id_col], pa.array(reps)),
                 "feature_id": pa.array(self.fid[idx.ravel()]),
                 "rank": pa.array(np.tile(np.arange(1, self.k + 1), n).astype(np.int64)),
                 "dist_m": pa.array(np.round(dist.ravel(), 3)),
@@ -899,46 +887,23 @@ class KnnStage:
         )
 
 
-_KNN_STAGE_CACHE: dict = {}
-
-
-def _knn_task(batch: pa.Table, feats_ref, res, k, id_col) -> pa.Table:
-    key = (feats_ref.hex(), res, k, id_col)
-    stage = _KNN_STAGE_CACHE.get(key)
-    if stage is None:
-        stage = KnnStage(feats_ref, res=res, k=k, id_col=id_col)
-        _KNN_STAGE_CACHE.clear()
-        _KNN_STAGE_CACHE[key] = stage
-    return stage(batch)
+def _knn_join_batch(batch: pa.Table, index_ref, id_col) -> pa.Table:
+    return ray.get(index_ref).assign(batch, id_col)
 
 
 def knn_join(
     points: ray.data.Dataset, feature_ids, feat_lon, feat_lat, k: int = 1,
-    res: int = 6, id_col: str = "image_id", concurrency: int | tuple | None = None,
-    batch_size: int = 32768,
+    res: int = 6, id_col: str = "image_id", batch_size: int = 32768,
 ) -> ray.data.Dataset:
-    """Nearest-feature join. Default: stateless tasks with a
-    process-local memoized bucket index (see pip_join); pass
-    `concurrency` for an explicit actor pool."""
-    feats_ref = ray.put(
-        (np.asarray(feature_ids, np.int64), np.asarray(feat_lon, np.float64),
-         np.asarray(feat_lat, np.float64))
-    )
-    if concurrency is None:
-        return points.map_batches(
-            _knn_task,
-            fn_kwargs=dict(feats_ref=feats_ref, res=res, k=k, id_col=id_col),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    """Nearest-feature join: (id_col, feature_id, rank, dist_m) rows,
+    k per point. The driver builds the `KnnIndex` once per call and
+    `ray.put`s it; stateless tasks apply it batch by batch."""
+    index_ref = ray.put(KnnIndex(feature_ids, feat_lon, feat_lat, res=res, k=k))
     return points.map_batches(
-        KnnStage,
-        fn_constructor_kwargs=dict(feats_ref=feats_ref, res=res, k=k, id_col=id_col),
+        _knn_join_batch,
+        fn_kwargs=dict(index_ref=index_ref, id_col=id_col),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency
-        if isinstance(concurrency, tuple)
-        else (1, concurrency),
     )
 
 

@@ -21,7 +21,7 @@ def _run(tmp, window):
     )
     return flagship.run_window(
         ray.data.from_arrow(images), polys, str(tmp), window,
-        pip_res=7, concurrency=2,
+        pip_res=7,
     )
 
 

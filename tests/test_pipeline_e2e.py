@@ -58,8 +58,8 @@ def test_flagship_matches_oracle():
     images = fixtures.make_images(300, seed=42)
     polys = _anchored_polys(images, 10, span_deg=10.0)
     ds = ray.data.from_arrow(images)
-    out = flagship.assignments_pipeline(ds, polys, pip_res=7, tile_res=12,
-                                        concurrency=2).to_pandas()
+    out = flagship.assignments_pipeline(ds, polys, pip_res=7,
+                                        tile_res=12).to_pandas()
     got = set(
         zip(out["image_id"], out["cell"], out["poly_id"], out["op"], out["dist_m"],
             out["caption"])
@@ -76,7 +76,7 @@ def test_flagship_caption_and_pixels_roundtrip():
     images = fixtures.make_images(60, seed=1)
     polys = _anchored_polys(images, 6, span_deg=15.0)
     out = flagship.assignments_pipeline(
-        ray.data.from_arrow(images), polys, pip_res=6, concurrency=1
+        ray.data.from_arrow(images), polys, pip_res=6
     ).to_pandas()
     caps = dict(zip(images["image_id"].to_pylist(), images["caption"].to_pylist()))
     blobs = dict(zip(images["image_id"].to_pylist(), images["bytes"].to_pylist()))
@@ -104,7 +104,7 @@ def test_materialize_tiles_bytes_rejoin(tmp_path):
     ds = ray.data.from_arrow(images)
     adir = str(tmp_path / "assign")
     bdir = str(tmp_path / "blobs")
-    flagship.run_window(ds, polys, adir, "w1", pip_res=6, concurrency=1)
+    flagship.run_window(ds, polys, adir, "w1", pip_res=6)
     man = flagship.materialize_tiles(ds, adir, bdir, "w1", num_partitions=8)
 
     assigns = ray.data.read_parquet(adir, columns=["image_id", "part"]).to_pandas()

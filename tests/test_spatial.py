@@ -35,6 +35,11 @@ def test_pip_join_matches_bruteforce():
             expected.add((ids[i], row["poly_id"]))
     assert got_pairs == expected
     assert len(expected) > 0
+    # `concurrency` only caps the number of tasks: same rows without it
+    cols = list(got.columns)
+    uncapped = spatial.pip_join(ds, polys, res=7).to_pandas()
+    assert (uncapped.sort_values(cols).reset_index(drop=True)
+            .equals(got.sort_values(cols).reset_index(drop=True)))
 
 
 def test_pip_join_empty_polygon_no_rows():
@@ -55,7 +60,7 @@ def test_knn_bucketed_matches_bruteforce():
     ds = ray.data.from_arrow(pts)
     for k in (1, 3):
         got = (
-            spatial.knn_join(ds, fid, flon, flat_, k=k, res=5, concurrency=2)
+            spatial.knn_join(ds, fid, flon, flat_, k=k, res=5)
             .to_pandas()
             .sort_values(["image_id", "rank"])
         )
@@ -75,6 +80,21 @@ def test_knn_bucketed_matches_bruteforce():
         assert got_map == expected
 
 
+def test_knn_index_same_in_small_chunks(monkeypatch):
+    # the per-cell candidate precompute runs in memory-bounded chunks;
+    # splitting it finer must not change the candidate CSR
+    rng = np.random.default_rng(11)
+    fid = np.arange(300, dtype=np.int64)
+    flon = np.round(rng.uniform(-179, 179, 300), 7)
+    flat_ = np.round(rng.uniform(-84, 84, 300), 7)
+    whole = spatial.KnnIndex(fid, flon, flat_, res=5, k=3)
+    chunks = spatial._chunks
+    monkeypatch.setattr(spatial, "_chunks", lambda sizes: chunks(sizes, budget=64))
+    split = spatial.KnnIndex(fid, flon, flat_, res=5, k=3)
+    np.testing.assert_array_equal(split.pre_offs, whole.pre_offs)
+    np.testing.assert_array_equal(split.pre_cands, whole.pre_cands)
+
+
 def test_knn_high_latitude_exactness():
     # meridian convergence: nearest-by-meters != nearest-by-degrees
     fid = np.arange(100, dtype=np.int64)
@@ -89,8 +109,7 @@ def test_knn_high_latitude_exactness():
         }
     )
     got = (
-        spatial.knn_join(ray.data.from_arrow(pts), fid, flon, flat_, k=1, res=6,
-                         concurrency=1)
+        spatial.knn_join(ray.data.from_arrow(pts), fid, flon, flat_, k=1, res=6)
         .to_pandas()
         .set_index("image_id")
     )
