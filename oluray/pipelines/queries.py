@@ -169,8 +169,8 @@ def q_closure_2hop(sf_dir: str):
     return joins.distinct(sel, ["l_suppkey"], num_partitions=32)
 
 
-# J4 rel-of-rel reverse reference (flag-gated default-OFF in
-# `apply_update` — the reference implements the query but disables
+# J4 rel-of-rel reverse reference (never run by `apply_update` —
+# the reference implements the query but disables
 # both call sites, `src/sparql/QueryWriter.cpp:223-240`,
 # `src/osm/OsmChangeHandler.cpp:84-85,264-297`). "Relations" derived
 # from lineitem: one member per item row, member type cycling

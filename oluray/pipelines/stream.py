@@ -1,23 +1,27 @@
 """Continuous replication consumption as checkpointed windows — the
 reference's server main loop (`/root/reference/src/osm/OsmUpdater.cpp:38-116`:
 fetch state -> decide start -> fetch+merge change files -> apply)
-re-expressed as a sequence of windowed `apply_update` passes with a
-resumable geo-delta sink per window.
+re-expressed as a sequence of windows over a PERSISTENT bucketed
+snapshot (`state.snapshot.SnapshotStore`) and its reverse-reference
+index (`state.refindex.RefIndex`).
+
+Every window, from the feed loop (`run_replication_windows_store`) or
+from local change files (`apply_changes_window`, the CLI's `--input`
+path), runs the same body, `apply_merged_window`: diff-proportional
+`update.apply_update` -> resumable geo-delta sink -> staged index
+maintenance -> store commit -> index commit.
 
 Resume semantics (what a crash mid-backfill costs): each window's
 geometry output is written through the partitioned-resumable sink
-under its own window directory, so a re-run with the same `out_dir`
-re-applies the cheap diff merge to rebuild the in-memory snapshot but
-SKIPS the already-written partitions of finished windows (the
-expensive part — geometry recompute rows land exactly once). The
-snapshot itself is re-derivable from (initial snapshot + diffs), which
-the replication server replays for free.
+under its own window directory, and the store and index commits are
+manifest-gated per window, so a re-run with the same `out_dir` skips
+the already-written partitions and the committed windows — geometry
+rows land exactly once, and a half-applied window converges.
 
-Scale notes: the snapshot Datasets are re-materialized once per
-window so the lazy lineage doesn't grow with window count (bounded
-plan depth, spill-friendly blocks); geometry deltas are partitioned
-by coarse geo cell (`geo.cell_parent`), the same key the flagship
-sink uses, so a failed window resumes per spatial region.
+Scale notes: a window rewrites only the store and index buckets its
+changed ids hash to; geometry deltas are partitioned by coarse geo
+cell (`geo.cell_parent`), the same key the flagship sink uses, so a
+failed window resumes per spatial region.
 """
 
 from __future__ import annotations
@@ -32,85 +36,88 @@ from oluray.stages.diff import EmptyDiffError
 from oluray.state.checkpoint import write_partitioned_resumable
 
 
-def run_replication_windows(
-    nodes: ray.data.Dataset,
-    ways: ray.data.Dataset,
-    relations: ray.data.Dataset,
-    client: "rep.ReplicationClient",
+def add_part(t: pa.Table, part_res: int = 2) -> pa.Table:
+    """Geo-delta rows -> + `part`, the sink's partition key: the
+    row's cell coarsened to `part_res`."""
+    part = geo.cell_parent(t["cell"].to_numpy(zero_copy_only=False), part_res)
+    return t.append_column("part", pa.array(part))
+
+
+def apply_merged_window(
+    store,
+    ref_index,
+    merged: ray.data.Dataset,
     out_dir: str,
-    sequence: int = 0,
-    timestamp: str | None = None,
-    window_size: int = 1,
+    window_id: str,
     cell_res: int = 12,
     part_res: int = 2,
-    **fetch_kw,
-) -> dict | None:
-    """Consume the replication feed from the decided start up to the
-    server's latest state in windows of `window_size` sequences.
-    Returns None when already up to date (the reference's early
-    return), else a dict with the final snapshot and per-window
-    manifests."""
-    latest = client.latest_state()["sequence"]
-    start = rep.decide_start_sequence(client, sequence, timestamp)
-    if start > latest:
-        return None
+    output_mode: str = "endpoint",
+    artifact_dir: str | None = None,
+) -> dict:
+    """The one window body: apply a latest-wins-merged window
+    (`diff.merge_latest_wins`, materialized) to `store` with
+    `ref_index`, write its geo delta to `<out_dir>/<window_id>`
+    through the resumable sink, then commit — stage the index
+    mutations, point-update the store (only buckets holding a changed
+    id are rewritten; the store manifest records which), apply the
+    index. The reference's in-place point-update semantics
+    (`src/osm/OsmChangeHandler.cpp:493-575`) made durable: write cost per window is O(diff + touched-bucket rows),
+    not O(snapshot).
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = geo.cell_parent(
-            t["cell"].to_numpy(zero_copy_only=False), part_res
-        )
-        return t.append_column("part", pa.array(part))
+    Ordering contract: the geo-delta sink is consumed BEFORE the store
+    mutates (the delta lineage lazily reads the store's bucket files),
+    and the index is staged BEFORE the store mutates (the stale index
+    entries to drop are only derivable from the pre-update snapshot;
+    a crash-rerun reuses the durable staging). Crash anywhere is safe:
+    the sink skips finished partitions, and `apply_window` on the
+    store and the index is a per-bucket fixpoint gated by the window
+    manifest.
 
-    windows = []
-    s = start
-    while s <= latest:
-        e = min(s + window_size - 1, latest)
-        wid = f"w{s:09d}_{e:09d}"
-        changes = rep.fetch_changes(client, s, e, **fetch_kw)
-        try:
-            out = upd.apply_update(
-                nodes, ways, relations, changes.drop_columns(["seq"]),
-                cell_res=cell_res,
-            )
-        except EmptyDiffError:
-            # a quiet window (valid change files, zero elements —
-            # maintenance gap) must not abort the backfill; the
-            # snapshot is unchanged and there is nothing to write
-            windows.append(
-                {"window_id": wid, "first_seq": s, "last_seq": e,
-                 "partitions": 0, "rows": 0}
-            )
-            s = e + 1
-            continue
-        # bound the lazy plan: each window's snapshot pins its blocks
-        # (object store spills as needed) instead of stacking another
-        # window of transforms onto an ever-deeper lineage
-        nodes = out["nodes"].materialize()
-        ways = out["ways"].materialize()
-        relations = out["relations"].materialize()
-        delta = out["geo_delta"].map_batches(add_part, batch_format="pyarrow")
-        man = write_partitioned_resumable(
-            delta, f"{out_dir}/{wid}", wid, part_col="part"
-        )
-        windows.append(
-            {
-                "window_id": wid,
-                "first_seq": s,
-                "last_seq": e,
-                "partitions": len(man.partitions),
-                "rows": sum(i["rows"] for i in man.partitions.values()),
-            }
-        )
-        s = e + 1
+    `output_mode` 'file'/'debug_file' writes the update to
+    `artifact_dir` instead of committing it (store and index
+    untouched), mirroring the reference's SparqlOutput semantics.
 
-    return {
-        "nodes": nodes,
-        "ways": ways,
-        "relations": relations,
-        "windows": windows,
-        "start_sequence": start,
-        "latest_sequence": latest,
+    Returns {window_id, partitions, rows} of the sink, plus
+    `artifact` (file modes) or the touched `store_buckets` and
+    `index_buckets` (endpoint mode)."""
+    out = upd.apply_update(
+        merged, store, ref_index, cell_res=cell_res,
+        output_mode=output_mode, output_dir=artifact_dir,
+    )
+    delta = out["geo_delta"].map_batches(
+        add_part, fn_kwargs={"part_res": part_res}, batch_format="pyarrow"
+    )
+    man = write_partitioned_resumable(
+        delta, f"{out_dir}/{window_id}", window_id, part_col="part"
+    )
+    result = {
+        "window_id": window_id,
+        "partitions": len(man.partitions),
+        "rows": sum(i["rows"] for i in man.partitions.values()),
     }
+    if output_mode != "endpoint":
+        result["artifact"] = out["update_artifact"]
+        return result
+    _stage_ref_index(ref_index, store, merged, window_id)
+    all_ops = ("create", "modify", "delete")
+    apply_man = store.apply_window(
+        window_id,
+        {
+            "nodes": (upd._keys_of(merged, "node", all_ops),
+                      upd._payload_nodes(merged)),
+            "ways": (upd._keys_of(merged, "way", all_ops),
+                     upd._payload_ways(merged)),
+            "relations": (upd._keys_of(merged, "relation", all_ops),
+                          upd._payload_relations(merged)),
+        },
+    )
+    result["store_buckets"] = {
+        k: v["touched_buckets"] for k, v in apply_man["kinds"].items()
+    }
+    result["index_buckets"] = (
+        ref_index.apply_window(window_id)["touched_buckets"]
+    )
+    return result
 
 
 def run_replication_windows_store(
@@ -125,42 +132,21 @@ def run_replication_windows_store(
     ref_index=None,
     **fetch_kw,
 ) -> dict | None:
-    """The continuous loop over a PERSISTENT bucket-pruned snapshot
-    (`oluray.state.snapshot.SnapshotStore`) — the scale-shaped variant
-    of `run_replication_windows`: instead of re-materializing the full
-    nodes/ways/relations tables every window, each window's
-    delete+insert routes its changed ids to their hash buckets and
-    rewrites ONLY the touched buckets (the reference's in-place
-    point-update semantics, `/root/reference/src/osm/
-    OsmChangeHandler.cpp:493-575`, made durable). Write cost per
-    window is O(diff + touched-bucket rows), not O(snapshot).
+    """Consume the replication feed from the decided start up to the
+    server's latest state in windows of `window_size` sequences, each
+    applied by `apply_merged_window`. Returns None when already up to
+    date (the reference's early return, `OsmUpdater.cpp:68-75`), else
+    {windows, start_sequence, latest_sequence}. Each window dict
+    carries the store's and the index's touched-bucket lineage
+    (`store_buckets`, `index_buckets`), so a 64-bucket store touching
+    3 buckets on a minutely diff is visible evidence of pruning. A
+    quiet window (valid change files, zero elements — maintenance
+    gap) is recorded with zero rows and does not abort the loop.
 
-    Ordering contract: the geo-delta sink is consumed BEFORE the store
-    mutates (the delta lineage lazily reads the store's bucket files).
-    Crash anywhere is safe: the delta sink skips finished partitions,
-    and `apply_window` is a per-bucket fixpoint — recomputing a delta
-    against a half-applied store yields identical rows because
-    delete+insert of the same window is idempotent on every bucket.
-
-    Returns per-window dicts that include the store's touched-bucket
-    lineage (`store_buckets`), so a 64-bucket store touching 3 buckets
-    on a minutely diff is visible evidence of pruning.
-
-    `ref_index` (r4): a `state.refindex.RefIndex` built over the SAME
-    snapshot — the window then runs fully DIFF-PROPORTIONALLY: impact
-    closure reads only the index buckets the changed ids hash to
-    (instead of exploding the whole ways/relations tables), context
-    rows come from `store.lookup` point reads, and the index is
-    maintained per window with the same staged, manifest-gated,
-    crash-idempotent protocol as the store (staging happens BEFORE the
-    store mutates, because the stale index entries to drop are only
-    derivable from the pre-update snapshot; a crash-rerun reuses the
-    durable staging instead of re-deriving it from a half-updated
-    store). A store+index pair must be kept in lockstep: always pass
-    the index once it exists."""
-    from oluray.pipelines.update import (
-        _payload_nodes, _payload_relations, _payload_ways, _keys_of,
-    )
+    `ref_index`: a `state.refindex.RefIndex` built over the SAME
+    snapshot; without one, the index co-located under the store root
+    is loaded or built (`_ensure_ref_index`). A store+index pair must
+    be kept in lockstep: always pass the index once it exists."""
     from oluray.stages.diff import merge_latest_wins
 
     latest = client.latest_state()["sequence"]
@@ -168,75 +154,27 @@ def run_replication_windows_store(
     if start > latest:
         return None
     if ref_index is None:
-        # r5: the scan-closure regime (closure via full ways/relations
-        # explode, O(snapshot) per window) is retired — a store-backed
-        # loop always runs diff-proportionally. Build (or reuse) a
-        # RefIndex co-located under the store root; the one-time build
-        # cost is one explode+write pass, amortized across windows.
         ref_index = _ensure_ref_index(store)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = geo.cell_parent(
-            t["cell"].to_numpy(zero_copy_only=False), part_res
-        )
-        return t.append_column("part", pa.array(part))
-
-    all_ops = ("create", "modify", "delete")
     windows = []
     s = start
     while s <= latest:
         e = min(s + window_size - 1, latest)
         wid = f"w{s:09d}_{e:09d}"
         changes = rep.fetch_changes(client, s, e, **fetch_kw)
+        w = {"window_id": wid, "first_seq": s, "last_seq": e}
         try:
             merged = merge_latest_wins(
                 changes.drop_columns(["seq"])
             ).materialize()
         except EmptyDiffError:
-            windows.append(
-                {"window_id": wid, "first_seq": s, "last_seq": e,
-                 "partitions": 0, "rows": 0, "store_buckets": {}}
-            )
-            s = e + 1
-            continue
-        out = upd.apply_update(
-            None, None, None, merged,
-            cell_res=cell_res, already_merged=True,
-            store=store, ref_index=ref_index,
-        )
-        delta = out["geo_delta"].map_batches(add_part, batch_format="pyarrow")
-        man = write_partitioned_resumable(
-            delta, f"{out_dir}/{wid}", wid, part_col="part"
-        )
-        _stage_ref_index(ref_index, store, merged, wid)
-        # point-update the store: only buckets holding a changed id
-        # are rewritten; the manifest records exactly which
-        apply_man = store.apply_window(
-            wid,
-            {
-                "nodes": (_keys_of(merged, "node", all_ops),
-                          _payload_nodes(merged)),
-                "ways": (_keys_of(merged, "way", all_ops),
-                         _payload_ways(merged)),
-                "relations": (_keys_of(merged, "relation", all_ops),
-                              _payload_relations(merged)),
-            },
-        )
-        windows.append(
-            {
-                "window_id": wid,
-                "first_seq": s,
-                "last_seq": e,
-                "partitions": len(man.partitions),
-                "rows": sum(i["rows"] for i in man.partitions.values()),
-                "store_buckets": {
-                    k: v["touched_buckets"]
-                    for k, v in apply_man["kinds"].items()
-                },
-            }
-        )
-        idx_man = ref_index.apply_window(wid)
-        windows[-1]["index_buckets"] = idx_man["touched_buckets"]
+            w.update(partitions=0, rows=0, store_buckets={})
+        else:
+            w.update(apply_merged_window(
+                store, ref_index, merged, out_dir, wid,
+                cell_res=cell_res, part_res=part_res,
+            ))
+        windows.append(w)
         s = e + 1
 
     return {
@@ -259,72 +197,27 @@ def apply_changes_window(
     """One-shot window apply over a persistent store — the CLI's
     `--input <dir>` path (the reference applies the merged local
     change dir in one pass, `/root/reference/src/osm/OsmUpdater.cpp:
-    136-147`). Same primitives as the replication loop body:
-    latest-wins merge -> diff-proportional apply (auto RefIndex) ->
-    resumable geo-delta sink -> staged index + store commit. With
-    `output_mode` 'file'/'debug_file' the update is written to
-    `artifact_dir` instead of committed (store and index untouched),
-    mirroring the reference's SparqlOutput semantics."""
-    from oluray.pipelines.update import (
-        _keys_of, _payload_nodes, _payload_relations, _payload_ways,
-    )
+    136-147`): latest-wins merge, then the replication loop's window
+    body `apply_merged_window` with the store's co-located RefIndex.
+    An element-free change set raises `diff.EmptyDiffError`."""
     from oluray.stages.diff import merge_latest_wins
 
     ref_index = _ensure_ref_index(store)
     merged = merge_latest_wins(changes).materialize()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = geo.cell_parent(
-            t["cell"].to_numpy(zero_copy_only=False), part_res
-        )
-        return t.append_column("part", pa.array(part))
-
-    out = upd.apply_update(
-        None, None, None, merged, cell_res=cell_res, already_merged=True,
-        store=store, ref_index=ref_index,
-        output_mode=output_mode, output_dir=artifact_dir,
+    return apply_merged_window(
+        store, ref_index, merged, out_dir, window_id,
+        cell_res=cell_res, part_res=part_res,
+        output_mode=output_mode, artifact_dir=artifact_dir,
     )
-    delta = out["geo_delta"].map_batches(add_part, batch_format="pyarrow")
-    man = write_partitioned_resumable(
-        delta, f"{out_dir}/{window_id}", window_id, part_col="part"
-    )
-    result = {
-        "window_id": window_id,
-        "partitions": len(man.partitions),
-        "rows": sum(i["rows"] for i in man.partitions.values()),
-        "artifact": out.get("update_artifact"),
-    }
-    if output_mode == "endpoint":
-        all_ops = ("create", "modify", "delete")
-        _stage_ref_index(ref_index, store, merged, window_id)
-        apply_man = store.apply_window(
-            window_id,
-            {
-                "nodes": (_keys_of(merged, "node", all_ops),
-                          _payload_nodes(merged)),
-                "ways": (_keys_of(merged, "way", all_ops),
-                         _payload_ways(merged)),
-                "relations": (_keys_of(merged, "relation", all_ops),
-                              _payload_relations(merged)),
-            },
-        )
-        result["store_buckets"] = {
-            k: v["touched_buckets"] for k, v in apply_man["kinds"].items()
-        }
-        result["index_buckets"] = (
-            ref_index.apply_window(window_id)["touched_buckets"]
-        )
-    return result
 
 
 def _ensure_ref_index(store):
     """Load or build the store-co-located RefIndex (`<store>/_refindex`).
 
-    Retires the r4 scan-closure regime: `run_replication_windows_store`
-    without an explicit index used to explode the WHOLE ways/relations
-    tables per window (O(snapshot) — 50 s vs 17.7 s indexed in
-    BENCH_r04). Now the index is built once from the current snapshot
-    (one distributed explode+write pass) and reused across calls.
+    The index is built once from the current snapshot (one
+    distributed explode+write pass) and reused across calls, so impact
+    closure never explodes the whole ways/relations tables per window
+    (O(snapshot) — 50 s vs 17.7 s indexed in BENCH_r04).
 
     Crash safety: the build lands in `_refindex.build.tmp` and is
     atomically renamed; a half-built tmp dir or a manifest-less target

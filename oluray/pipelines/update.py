@@ -1,19 +1,23 @@
 """Full update pipeline: apply a merged OsmChange window to a
-snapshot — the reference's complete run loop
+bucketed snapshot store — the reference's complete run loop
 (`/root/reference/src/osm/OsmChangeHandler.cpp:74-117`) re-expressed
 as Ray Data dataflow:
 
-  changes ─latest-wins merge (O1)─► per-kind op sets (M1/ST1)
-      ─► snapshot delete+insert (modify = delete+reinsert,
-         `:444-447,578-590`)
-      ─► impact closure (J1-J3, anti-join vs change file)
-      ─► context fetch (J5-J7 member refs + node locations)
+  merged window (O1, `diff.merge_latest_wins`) ─► per-kind op sets
+      (M1/ST1)
+      ─► impact closure from the reverse index (J1-J3, anti-join vs
+         change file)
+      ─► context fetch (J5-J7 member refs + node locations) from
+         store point reads overlaid with the window's payloads
       ─► geometry recompute (way centroid/cell — replaces the
          osm2rdf delegation) ─► geo delta rows
       ─► run counters (A4)
 
-All set logic is size-probed semi/anti joins (the twelve in-heap id
-sets of `include/osm/OsmChangeHandler.h:55-89` become `closure.KeySet`s:
+The snapshot delete+insert itself (modify = delete+reinsert,
+`:444-447,578-590`) is the caller's commit step,
+`SnapshotStore.apply_window`. All set logic is size-probed semi/anti
+joins (the twelve in-heap id sets of
+`include/osm/OsmChangeHandler.h:55-89` become `closure.KeySet`s:
 broadcast key arrays while a window's changed-id set fits
 `broadcast_limit`, hash-partitioned `joins.semi_join` shuffles above
 it — the 100 TB backfill window switches automatically, r3); nothing
@@ -26,12 +30,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from oluray.functions import geo
 from oluray.stages import closure, joins
-from oluray.stages.diff import merge_latest_wins
 
 
 _DIFF_CACHE_ABSENT = object()
@@ -246,281 +248,131 @@ def _write_update_artifact(
 
 
 def apply_update(
-    nodes: ray.data.Dataset,
-    ways: ray.data.Dataset,
-    relations: ray.data.Dataset,
-    changes: ray.data.Dataset,
+    merged: ray.data.Dataset,
+    store,
+    ref_index,
     cell_res: int = 12,
     broadcast_limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
     area_res: int = 8,
-    already_merged: bool = False,
-    include_rel_of_rel: bool = False,
-    store=None,
-    ref_index=None,
     output_mode: str = "endpoint",
     output_dir: str | None = None,
 ) -> dict:
-    """Apply one change window. Returns dict with the new snapshot
-    (`nodes`, `ways`, `relations`), `geo_delta` (recomputed geometry
-    rows — centroid + cell + ENVELOPE — for changed + impacted
-    elements), `area_cover` (cell cover of touched multipolygon
-    relations' assembled outer rings at `area_res`), `hull_delta`
-    (convex hull + min-area OBB vertex lists per touched
-    way/relation), and `counts` (A4).
+    """Apply one latest-wins-merged change window (`diff.
+    merge_latest_wins`, ideally materialized: it is consumed ~10 times
+    below) against a `state.snapshot.SnapshotStore` and the
+    `state.refindex.RefIndex` built over the same snapshot. Returns
+    `geo_delta` (recomputed geometry rows — centroid + cell + ENVELOPE
+    — for changed + impacted elements), `area_cover` (cell cover of
+    touched multipolygon relations' assembled outer rings at
+    `area_res`), `hull_delta` (convex hull + min-area OBB vertex lists
+    per touched way/relation), the impacted id sets and `counts` (A4).
+
+    The window runs DIFF-PROPORTIONALLY: impact closure answers from
+    the reverse index's pruned buckets (the reference's SPARQL store
+    answers J1-J3 from its triple indexes, `src/sparql/QueryWriter.cpp:
+    169-220`), and context rows (member ways/nodes of touched
+    elements) come from `store.lookup` point reads overlaid with this
+    window's payloads. Nothing here mutates the store or the index:
+    the caller commits the delete+insert (`store.apply_window`) and
+    the index maintenance after consuming the delta
+    (`stream.apply_merged_window`).
 
     `broadcast_limit`: id sets up to this many keys ride as broadcast
     arrays (zero shuffles — every minutely window); larger sets stay
     distributed and every membership filter switches to a
-    hash-partitioned semi join (the backfill-window path).
-
-    `already_merged`: the caller holds a latest-wins-merged (and
-    ideally materialized) change set — skip the merge (the store-
-    backed window loop merges once and reuses it for the bucket
-    apply).
-
-    `store` + `ref_index` (INDEXED mode, r4): a
-    `state.snapshot.SnapshotStore` and `state.refindex.RefIndex` built
-    over the same snapshot. The whole window then runs
-    DIFF-PROPORTIONALLY — impact closure answers from the reverse
-    index's pruned buckets (the reference's SPARQL store answers
-    J1-J3 from its triple indexes, `src/sparql/QueryWriter.cpp:
-    169-220`; the non-indexed path explodes the full ways/relations
-    tables per window), and context rows (member ways/nodes of
-    touched elements) come from `store.lookup` point reads overlaid
-    with this window's payloads. No snapshot Datasets are built or
-    returned (`nodes`/`ways`/`relations` keys are None — the caller
-    owns snapshot mutation via `store.apply_window`). `nodes`/`ways`/
-    `relations` args are ignored in indexed mode and may be None."""
-    # materialize: merged is DIFF-sized (one window of edits, not the
-    # snapshot) and is consumed ~10 times below (id sets, payload
-    # extracts, counts) — without pinning, every consumer re-executes
-    # the latest-wins shuffle
+    hash-partitioned semi join (the backfill-window path)."""
     if output_mode not in ("endpoint", "file", "debug_file"):
         raise ValueError(f"unknown output_mode {output_mode!r}")
     if output_mode != "endpoint" and output_dir is None:
         raise ValueError(f"output_mode={output_mode!r} requires output_dir")
-    if already_merged:
-        merged = changes
-    else:
-        merged = merge_latest_wins(changes).materialize()
     BL = broadcast_limit
-    indexed = store is not None and ref_index is not None
-
-    # snapshot schemas for the shuffle path's static hints (schema()
-    # on the INPUT datasets is metadata-cheap; nodes2/ways2/relations2
-    # below are union lineages whose schema probe would re-execute —
-    # by construction they share the input schema)
-    from oluray.stages.joins import _arrow_schema
-
-    if indexed:
-        nodes_sch = store.schema("nodes")
-        ways_sch = store.schema("ways")
-        rels_sch = store.schema("relations")
-    else:
-        nodes_sch = _arrow_schema(nodes)
-        ways_sch = _arrow_schema(ways)
-        rels_sch = _arrow_schema(relations)
+    nodes_sch = store.schema("nodes")
+    ways_sch = store.schema("ways")
+    rels_sch = store.schema("relations")
 
     # membership sets (ST1) as size-probed KeySets
-    del_or_mod = ("modify", "delete")
     node_in_cf = _keys_of(merged, "node", ("create", "modify", "delete"), BL)
     way_in_cf = _keys_of(merged, "way", ("create", "modify", "delete"), BL)
     rel_in_cf = _keys_of(merged, "relation", ("create", "modify", "delete"), BL)
-    modified_nodes = _keys_of(merged, "node", del_or_mod, BL)
-
-    if indexed:
-        # INDEXED mode: no snapshot Datasets exist — closure answers
-        # from the reverse index, context rows from store point reads
-        # overlaid with this window's payloads (below). Pinning is
-        # moot (nothing snapshot-scale is ever built).
-        nodes2 = ways2 = relations2 = None
-
-        def _pin_snapshots():
-            pass
-
-        def _ensure_pinned_for(*keysets):
-            pass
-    else:
-        # delete-then-insert snapshot update (idempotent per window).
-        # The anti set is ALL changed ids — a superset of the
-        # reference's deleted+modified (`:444-447`) that also makes
-        # create-on-existing safe instead of duplicating rows.
-        nodes2 = closure.anti_join(
-            nodes, "id", node_in_cf, schema=nodes_sch
-        ).union(_payload_nodes(merged))
-        ways2 = closure.anti_join(
-            ways, "id", way_in_cf, schema=ways_sch
-        ).union(_payload_ways(merged))
-        relations2 = closure.anti_join(
-            relations, "id", rel_in_cf, schema=rels_sch
-        ).union(_payload_relations(merged))
-
-        # backfill windows: every membership filter below becomes a
-        # multi-stage shuffle join, and the new snapshot feeds ~4 of
-        # them — pin it once instead of replaying the delete+insert
-        # lineage per consumer (which also nests the lazy plan past
-        # serializable depth). Minutely windows keep the pure-lazy
-        # plan: their filters are single map stages and re-running a
-        # map beats paying a snapshot-sized materialize. The decision
-        # is RE-PROBED after each impact-closure set is computed: a
-        # small diff touching a high-degree node can push ways_geo/
-        # touched_*/need_nodes past the broadcast limit even when the
-        # change-file sets themselves are tiny, and from that point on
-        # the snapshots must be pinned before more shuffle-join
-        # lineage stacks on them.
-        snapshots_pinned = False
-
-        def _pin_snapshots():
-            nonlocal nodes2, ways2, relations2, snapshots_pinned
-            if not snapshots_pinned:
-                nodes2 = nodes2.materialize()
-                ways2 = ways2.materialize()
-                relations2 = relations2.materialize()
-                snapshots_pinned = True
-
-        def _ensure_pinned_for(*keysets):
-            if any(not k.is_broadcast for k in keysets):
-                _pin_snapshots()
-
-        shuffle_mode = not (
-            node_in_cf.is_broadcast and way_in_cf.is_broadcast
-            and rel_in_cf.is_broadcast and modified_nodes.is_broadcast
-        )
-        if shuffle_mode:
-            _pin_snapshots()
+    modified_nodes = _keys_of(merged, "node", ("modify", "delete"), BL)
 
     # impact closure on the NEW snapshot (geometry of unchanged ways/
-    # relations referencing changed nodes must be recomputed). Indexed
-    # mode answers from the reverse index's pruned buckets — changed
-    # elements are excluded by the in-change-file anti sets either
-    # way, so stale index entries for THIS window's owners can't leak
-    # in (the index is maintained at window end, after closure).
-    if indexed:
-        ways_geo = ref_index.owners_of(
-            modified_nodes, ("node",), "way", exclude=way_in_cf, limit=BL
-        )
-        rels_geo = ref_index.owners_of(
-            modified_nodes, ("node",), "relation", exclude=rel_in_cf,
-            limit=BL,
-        ).union(ref_index.owners_of(
-            ways_geo.union(way_in_cf), ("way",), "relation",
-            exclude=rel_in_cf, limit=BL,
-        ))
-    else:
-        ways_geo = closure.ways_to_update_geometry(
-            ways2, modified_nodes, way_in_cf, limit=BL
-        )
-        _ensure_pinned_for(ways_geo)
-        rels_geo = closure.relations_to_update_geometry(
-            relations2, modified_nodes, ways_geo.union(way_in_cf), rel_in_cf,
-            limit=BL,
-        )
-    if include_rel_of_rel:
-        # J4 (default OFF — the reference keeps both call sites of
-        # this query disabled, `src/osm/OsmChangeHandler.cpp:84-85,
-        # 264-297`): relations whose members include a modified or
-        # geometry-impacted relation also need recompute. One hop, as
-        # in the reference's disabled driver.
-        modified_rels = _keys_of(merged, "relation", del_or_mod, BL)
-        _ensure_pinned_for(rels_geo, modified_rels)
-        if indexed:
-            rel_of_rel = ref_index.owners_of(
-                rels_geo.union(modified_rels), ("relation",), "relation",
-                exclude=rel_in_cf, limit=BL,
-            )
-        else:
-            rel_of_rel = closure.relations_referencing_relations(
-                relations2, rels_geo.union(modified_rels), rel_in_cf,
-                limit=BL,
-            )
-        rels_geo = rels_geo.union(rel_of_rel)
+    # relations referencing changed nodes must be recomputed), from the
+    # reverse index's pruned buckets — changed elements are excluded by
+    # the in-change-file anti sets, so stale index entries for THIS
+    # window's owners can't leak in (the index is maintained at window
+    # end, after closure)
+    ways_geo = ref_index.owners_of(
+        modified_nodes, ("node",), "way", exclude=way_in_cf, limit=BL
+    )
+    rels_geo = ref_index.owners_of(
+        modified_nodes, ("node",), "relation", exclude=rel_in_cf, limit=BL,
+    ).union(ref_index.owners_of(
+        ways_geo.union(way_in_cf), ("way",), "relation",
+        exclude=rel_in_cf, limit=BL,
+    ))
 
     # context fetch + geometry recompute (replaces the osm2rdf
-    # delegation). r2: fully distributed — the r1 version shipped a
-    # driver-built {node: (lon,lat)} dict and looped per way
-    # (VERDICT r1 item 6). Now: explode way refs -> hash join with
-    # node locations -> segmented in-order mean (`np.add.reduceat`).
+    # delegation): explode way refs -> hash join with node locations
+    # -> segmented in-order mean (`np.add.reduceat`)
     touched_ways = ways_geo.union(
         _keys_of(merged, "way", ("create", "modify"), BL)
     )
     touched_rels = rels_geo.union(
         _keys_of(merged, "relation", ("create", "modify"), BL)
     )
-    _ensure_pinned_for(touched_ways, touched_rels)
 
-    if indexed:
-        def _overlay(kind, ids_ks, payload, changed_ks, sch):
-            """Post-update rows of `kind` restricted to `ids_ks`:
-            store point reads (bucket-pruned) minus every id changed
-            this window, plus this window's payload rows — equivalent
-            to `semi_join(<kind>2, "id", ids_ks)` without the
-            snapshot-sized Dataset ever existing."""
-            base = closure.anti_join(
-                store.lookup(kind, ids_ks), "id", changed_ks, schema=sch
-            )
-            pay = closure.semi_join(payload, "id", ids_ks, schema=sch)
-            return base.union(pay)
+    def _overlay(kind, ids_ks, payload, changed_ks, sch):
+        """Post-update rows of `kind` restricted to `ids_ks`: store
+        point reads (bucket-pruned) minus every id changed this
+        window, plus this window's payload rows — the post-update
+        snapshot slice without a snapshot-sized Dataset ever
+        existing."""
+        base = closure.anti_join(
+            store.lookup(kind, ids_ks), "id", changed_ks, schema=sch
+        )
+        pay = closure.semi_join(payload, "id", ids_ks, schema=sch)
+        return base.union(pay)
 
-        # relation members (J5) from the touched-relation point reads
-        rel_touched = _overlay(
-            "relations", touched_rels, _payload_relations(merged),
-            rel_in_cf, rels_sch,
-        ).materialize()
-        rel_mem = closure.explode_relation_members(
-            rel_touched
-        ).materialize()  # (rel_id, ref, type, role, pos)
-        rel_node_refs = closure.distinct_keys(
-            rel_mem.map_batches(
-                lambda b: b.filter(pc.equal(b["type"], "node")),
-                batch_format="pyarrow",
-            ), "ref", limit=BL,
-        )
-        rel_way_refs = closure.distinct_keys(
-            rel_mem.map_batches(
-                lambda b: b.filter(pc.equal(b["type"], "way")),
-                batch_format="pyarrow",
-            ), "ref", limit=BL,
-        )
-        centroid_ways = touched_ways.union(rel_way_refs)
-        ways_sel = _overlay(
-            "ways", centroid_ways, _payload_ways(merged), way_in_cf,
-            ways_sch,
-        ).materialize()
-        exploded = closure.explode_way_refs(ways_sel)
-        member_nodes = closure.distinct_keys(exploded, "node_id", limit=BL)
-        need_nodes = member_nodes.union(rel_node_refs)
-        locs = _overlay(
-            "nodes", need_nodes, _payload_nodes(merged), node_in_cf,
-            nodes_sch,
-        ).map_batches(
-            lambda t: t.select(["id", "lon", "lat"]), batch_format="pyarrow"
-        ).materialize()  # (id, lon, lat)
-    else:
-        # relation members (J5): node refs need locations, way refs
-        # need centroids — so the centroid-target way set is touched
-        # ways PLUS unchanged member ways of impacted relations
-        # (context only)
-        rel_node_refs, rel_way_refs = closure.relation_member_refs(
-            relations2, touched_rels, limit=BL
-        )
-        centroid_ways = touched_ways.union(rel_way_refs)
-        _ensure_pinned_for(centroid_ways)
-
-        member_nodes = closure.way_member_nodes(
-            ways2, centroid_ways, limit=BL
-        )
-        need_nodes = member_nodes.union(rel_node_refs)
-        _ensure_pinned_for(need_nodes)
-        # pin: locs feeds the way-point join AND the relation node-
-        # member join — diff-scale (member nodes of touched ways +
-        # rel node refs)
-        locs = closure.node_locations(
-            nodes2, need_nodes, limit=BL
-        ).materialize()  # (id, lon, lat)
-
-        exploded = closure.explode_way_refs(
-            closure.semi_join(ways2, "id", centroid_ways, schema=ways_sch)
-        )  # (way_id, node_id, pos)
+    # relation members (J5) from the touched-relation point reads:
+    # node refs need locations, way refs need centroids — so the
+    # centroid-target way set is touched ways PLUS unchanged member
+    # ways of impacted relations (context only). Both are pinned: the
+    # slice feeds the member explode AND the multipolygon filter, the
+    # explode feeds the node/way/outer member splits
+    rel_touched = _overlay(
+        "relations", touched_rels, _payload_relations(merged),
+        rel_in_cf, rels_sch,
+    ).materialize()
+    rel_mem = closure.explode_relation_members(
+        rel_touched
+    ).materialize()  # (rel_id, ref, type, role, pos)
+    rel_node_refs = closure.distinct_keys(
+        rel_mem.map_batches(
+            lambda b: b.filter(pc.equal(b["type"], "node")),
+            batch_format="pyarrow",
+        ), "ref", limit=BL,
+    )
+    rel_way_refs = closure.distinct_keys(
+        rel_mem.map_batches(
+            lambda b: b.filter(pc.equal(b["type"], "way")),
+            batch_format="pyarrow",
+        ), "ref", limit=BL,
+    )
+    centroid_ways = touched_ways.union(rel_way_refs)
+    ways_sel = _overlay(
+        "ways", centroid_ways, _payload_ways(merged), way_in_cf, ways_sch,
+    ).materialize()
+    exploded = closure.explode_way_refs(ways_sel)  # (way_id, node_id, pos)
+    member_nodes = closure.distinct_keys(exploded, "node_id", limit=BL)
+    need_nodes = member_nodes.union(rel_node_refs)
+    # pinned: locs feeds the way-point join AND the relation node-
+    # member join
+    locs = _overlay(
+        "nodes", need_nodes, _payload_nodes(merged), node_in_cf, nodes_sch,
+    ).map_batches(
+        lambda t: t.select(["id", "lon", "lat"]), batch_format="pyarrow"
+    ).materialize()  # (id, lon, lat)
     # static schema hints: either side can be EMPTY (e.g. a node-only
     # diff touching no ways), and Ray drops empty map-output blocks,
     # leaving no runtime schema to join on
@@ -620,19 +472,6 @@ def apply_update(
     # node member contributes its location and a way member its
     # centroid; members of type relation are skipped (J4 disabled in
     # the reference too)
-    # the touched-relations slice and its member explode are both
-    # multi-consumer (rel_touched: member explode + multipolygon
-    # filter; rel_mem: node/way/outer member splits) — pin them so
-    # the snapshot-scale relations2 filter lineage executes once,
-    # not once per consumer (both are diff-scale, so the pin is cheap
-    # even for minutely windows)
-    if not indexed:
-        rel_touched = closure.semi_join(
-            relations2, "id", touched_rels, schema=rels_sch
-        ).materialize()
-        rel_mem = closure.explode_relation_members(
-            rel_touched
-        ).materialize()  # (rel_id, ref, type, role, pos)
     node_mem = rel_mem.map_batches(
         lambda b: b.filter(pc.equal(b["type"], "node")), batch_format="pyarrow"
     )
@@ -809,17 +648,11 @@ def apply_update(
         )
         return _point_extents(t)
 
-    if indexed:
-        # semi_join(nodes2, created+modified) ≡ the payload rows (the
-        # anti side excludes every changed id by construction)
-        node_delta = _payload_nodes(merged).map_batches(
-            node_delta_fn, batch_format="pyarrow"
-        )
-    else:
-        node_delta = closure.semi_join(
-            nodes2, "id", _keys_of(merged, "node", ("create", "modify"), BL),
-            schema=nodes_sch,
-        ).map_batches(node_delta_fn, batch_format="pyarrow")
+    # the post-update rows of the created/modified nodes are exactly
+    # this window's payload rows
+    node_delta = _payload_nodes(merged).map_batches(
+        node_delta_fn, batch_format="pyarrow"
+    )
 
     geo_delta = node_delta.union(way_delta).union(rel_delta)
 
@@ -828,30 +661,23 @@ def apply_update(
     update_artifact = None
     if output_mode != "endpoint":
         # FILE / DEBUG_FILE: the update is WRITTEN, not applied — the
-        # returned snapshot is the UN-mutated input, exactly like the
+        # caller leaves the store and index untouched, exactly like the
         # reference skipping request.perform() for updates
         # (`SparqlWrapper.cpp:70-72`). Reads (geo_delta & co) still
-        # run in both modes, as the reference's queries do.
+        # run in both modes, as the reference's queries do. The TTL
+        # emission's location source is the window-scoped slice of the
+        # post-update snapshot: payload nodes plus store point reads of
+        # the changed ways' other member nodes
         refs = closure.distinct_keys(
             closure.explode_way_refs(_payload_ways(merged)),
             "node_id", limit=BL,
         )
-        if indexed:
-            ctx = store.lookup("nodes", refs,
-                               columns=["id", "lon", "lat"])
-            loc_src = _payload_nodes(merged).select_columns(
-                ["id", "lon", "lat"]
-            ).union(closure.anti_join(
-                ctx, "id", node_in_cf, schema=closure.LOCATIONS_SCHEMA,
-            ))
-        else:
-            # window-scoped location slice of the post-update
-            # snapshot: the emission join's build side must be
-            # DIFF-sized, not the whole nodes table
-            loc_src = closure.semi_join(
-                nodes2.select_columns(["id", "lon", "lat"]), "id",
-                refs, schema=closure.LOCATIONS_SCHEMA,
-            )
+        ctx = store.lookup("nodes", refs, columns=["id", "lon", "lat"])
+        loc_src = _payload_nodes(merged).select_columns(
+            ["id", "lon", "lat"]
+        ).union(closure.anti_join(
+            ctx, "id", node_in_cf, schema=closure.LOCATIONS_SCHEMA,
+        ))
         update_artifact = _write_update_artifact(
             merged, loc_src, output_dir,
             debug_sets=(
@@ -862,9 +688,6 @@ def apply_update(
         )
 
     return {
-        "nodes": nodes if output_mode != "endpoint" else nodes2,
-        "ways": ways if output_mode != "endpoint" else ways2,
-        "relations": relations if output_mode != "endpoint" else relations2,
         "update_artifact": update_artifact,
         "geo_delta": geo_delta,
         "area_cover": area_cover,  # (rel_id, ring_id, cell) for
@@ -889,8 +712,9 @@ def derive_node_changes(
     Dataset (CHANGES_SCHEMA) — `diff.snapshot_diff`'s classification
     carried to full OsmChange semantics: creates/modifies ship the NEW
     (lon, lat) payload, deletes ship the id only. Round-trip contract
-    (tested): `apply_update(old, derive_node_changes(old, new))`
-    reproduces `new`'s node set exactly — the reference's consumer
+    (tested): applying `derive_node_changes(old, new)` as one window
+    (`stream.apply_changes_window`) to a store holding `old` leaves
+    `new`'s node set in the store exactly — the reference's consumer
     loop and its producer (osmium-style diff derivation) in one
     engine."""
     from oluray.sources.fixtures import CHANGES_SCHEMA

@@ -214,32 +214,3 @@ def fetch_changes(
         concurrency=(1, concurrency),
     )
 
-
-def update_from_replication(
-    nodes,
-    ways,
-    relations,
-    client: ReplicationClient,
-    sequence: int = 0,
-    timestamp: str | None = None,
-    cell_res: int = 12,
-    **fetch_kw,
-) -> dict | None:
-    """The full network-mode update loop (`OsmUpdater::run`, else
-    branch): decide start -> short-circuit when up to date (returns
-    None, the reference's "Database is already up to date") -> fetch
-    [start, latest] -> latest-wins merge + apply. Returns
-    `apply_update`'s dict plus the window bounds."""
-    from oluray.pipelines import update as upd
-
-    latest = client.latest_state()
-    start = decide_start_sequence(client, sequence, timestamp)
-    if start > latest["sequence"]:
-        return None
-    changes = fetch_changes(client, start, latest["sequence"], **fetch_kw)
-    out = upd.apply_update(
-        nodes, ways, relations, changes.drop_columns(["seq"]), cell_res=cell_res
-    )
-    out["start_sequence"] = start
-    out["latest_sequence"] = latest["sequence"]
-    return out

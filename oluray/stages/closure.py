@@ -352,9 +352,10 @@ def relations_referencing_relations(
     (`src/sparql/QueryWriter.cpp:223-240`). The reference implements
     this query but keeps BOTH call sites disabled because osm2rdf
     computes no geometry for rel-of-rel members
-    (`src/osm/OsmChangeHandler.cpp:84-85,264-297`); this operator is
-    therefore flag-gated default-OFF in `apply_update` to match the
-    reference's *enabled* behavior while completing the §2 inventory.
+    (`src/osm/OsmChangeHandler.cpp:84-85,264-297`); `apply_update`
+    therefore never runs it, matching the reference's *enabled*
+    behavior. It stays as the catalog's `rel_of_rel` query, completing
+    the §2 inventory.
 
     Same exploded semi-join shape as J2/J3: filter members to
     type=='relation', semi-join `ref` against the key set, anti-join

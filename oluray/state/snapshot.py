@@ -13,10 +13,10 @@ Ray-native shape: each kind lives on disk hash-bucketed by id
 (splitmix64, the engine's one partitioner — `oluray/stages/joins.py`),
 and a window's delete+insert routes its changed ids to their buckets
 and rewrites ONLY those buckets. Untouched buckets are never read for
-the write path and never rewritten; impact-closure READS stream
-lazily over the bucket files through the normal `apply_update`
-semi-joins (reads scale with snapshot size but stay streaming +
-column-pruned; writes scale with the DIFF).
+the write path and never rewritten; `apply_update`'s context READS
+are `lookup` point reads that open only the buckets their ids hash to
+(a backfill-sized key set falls back to a streaming semi-join);
+writes scale with the DIFF.
 
 Idempotence contract (same as the resumable sink, `checkpoint.py`):
 a bucket rewrite is `(live ∖ changed_ids) ∪ inserts` — re-applying

@@ -66,8 +66,9 @@ def test_relations_to_update_geometry_matches_oracle():
 
 
 def test_relations_referencing_relations_matches_oracle():
-    """J4 rel-of-rel reverse reference (flag-gated default-off in
-    apply_update; `src/sparql/QueryWriter.cpp:223-240`)."""
+    """J4 rel-of-rel reverse reference (the catalog's `rel_of_rel`;
+    apply_update never runs it, as the reference keeps it disabled;
+    `src/sparql/QueryWriter.cpp:223-240`)."""
     from oluray.sources.fixtures import RELATIONS_SCHEMA
 
     rng = np.random.default_rng(9)

@@ -13,7 +13,6 @@ import pytest
 import ray.data
 
 from oluray.functions import xmlcodec as xc
-from oluray.pipelines import update
 from oluray.sources import fixtures, osc
 
 
@@ -145,15 +144,11 @@ def test_decompress_magic():
 # --- full apply-update pipeline --------------------------------------------
 
 
-def test_apply_update_end_to_end():
+def test_apply_update_end_to_end(store_windows):
     nodes, ways, rels = fixtures.make_snapshot(200, seed=42)
     changes = fixtures.make_changes(30, seed=42)
-    out = update.apply_update(
-        ray.data.from_arrow(nodes),
-        ray.data.from_arrow(ways),
-        ray.data.from_arrow(rels),
-        ray.data.from_arrow(changes),
-    )
+    store, idx = store_windows.store(nodes, ways, rels)
+    _, out = store_windows.apply(store, idx, changes)
     # oracle: latest-wins per (kind, id)
     rows = changes.to_pylist()
     best: dict = {}
@@ -166,7 +161,7 @@ def test_apply_update_end_to_end():
     node_new = {i: r for (k, i), r in best.items() if k == "node" and r["op"] in ("create", "modify")}
     snap_ids = set(nodes["id"].to_pylist())
     expected_node_ids = (snap_ids - node_gone) | set(node_new)
-    got_nodes = out["nodes"].to_pandas()
+    got_nodes = store.read("nodes").to_pandas()
     assert set(got_nodes["id"]) == expected_node_ids
     assert not got_nodes["id"].duplicated().any()
 
@@ -176,7 +171,7 @@ def test_apply_update_end_to_end():
         assert row["lon"] == r["payload"]["lon"]
 
     # impacted ways: reference-closure oracle on the NEW ways table
-    new_ways = out["ways"].to_pandas()
+    new_ways = store.read("ways").to_pandas()
     mod_nodes = {i for (k, i), r in best.items() if k == "node" and r["op"] in ("modify", "delete")}
     way_in_cf = {i for (k, i), r in best.items() if k == "way"}
     oracle_ways = sorted(
@@ -203,7 +198,7 @@ def test_apply_update_end_to_end():
     # relations get centroid delta rows computed from member node
     # locations and member way centroids, in member-position order,
     # missing members skipped (J7 missing-ok / J4 rel-of-rel skipped)
-    new_rels = out["relations"].to_pandas()
+    new_rels = store.read("relations").to_pandas()
     rel_in_cf = {i for (k, i), r in best.items() if k == "relation"}
     touched_ways_all = touched
     oracle_rels = set()
@@ -261,24 +256,23 @@ def test_apply_update_end_to_end():
     assert counts["count()"].sum() == len(best)
 
 
-def test_apply_update_shuffle_path_matches_broadcast():
+def test_apply_update_shuffle_path_matches_broadcast(store_windows):
     """broadcast_limit=0 forces EVERY membership set through the
     hash-partitioned semi-join path (the 100 TB backfill shape); the
     result must be identical to the broadcast-path run."""
     nodes, ways, rels = fixtures.make_snapshot(120, seed=7)
     changes = fixtures.make_changes(20, seed=7)
-    args = (
-        ray.data.from_arrow(nodes), ray.data.from_arrow(ways),
-        ray.data.from_arrow(rels), ray.data.from_arrow(changes),
-    )
-    bc = update.apply_update(*args)
-    sh = update.apply_update(*args, broadcast_limit=0)
+    store_bc, idx_bc = store_windows.store(nodes, ways, rels)
+    store_sh, idx_sh = store_windows.store(nodes, ways, rels)
+    _, bc = store_windows.apply(store_bc, idx_bc, changes)
+    _, sh = store_windows.apply(store_sh, idx_sh, changes,
+                                apply_kw={"broadcast_limit": 0})
     assert not sh["impacted_ways"].is_broadcast  # the probe actually flipped
     assert bc["impacted_ways"].tolist() == sh["impacted_ways"].tolist()
     assert bc["impacted_relations"].tolist() == sh["impacted_relations"].tolist()
     for key in ("nodes", "ways", "relations"):
-        a = sorted(bc[key].to_pandas()["id"])
-        b = sorted(sh[key].to_pandas()["id"])
+        a = sorted(store_bc.read(key).to_pandas()["id"])
+        b = sorted(store_sh.read(key).to_pandas()["id"])
         assert a == b, key
     ga = bc["geo_delta"].to_pandas().sort_values(["kind", "id"]).reset_index(drop=True)
     gb = sh["geo_delta"].to_pandas().sort_values(["kind", "id"]).reset_index(drop=True)
@@ -287,7 +281,7 @@ def test_apply_update_shuffle_path_matches_broadcast():
     pd.testing.assert_frame_equal(ga, gb)
 
 
-def test_multipolygon_area_cover_and_envelope():
+def test_multipolygon_area_cover_and_envelope(store_windows):
     """A touched multipolygon relation's outer ring is assembled from
     member ways (one stored in reverse) and covered with cells; its
     geo_delta row carries the full member-extent envelope."""
@@ -314,7 +308,9 @@ def test_multipolygon_area_cover_and_envelope():
         [dict(op="modify", kind="node", id=101, version=2, ts=1000,
               payload=fixtures._payload(lon=10.0, lat=10.0))],
         schema=fixtures.CHANGES_SCHEMA))
-    out = update.apply_update(nodes, ways, rels, changes, area_res=6)
+    store, idx = store_windows.store(nodes, ways, rels)
+    _, out = store_windows.apply(store, idx, changes,
+                                 apply_kw={"area_res": 6})
     cover = out["area_cover"].to_pandas()
     assert set(cover["rel_id"]) == {71}
     got_cells = set(cover["cell"])
@@ -336,7 +332,7 @@ def test_multipolygon_area_cover_and_envelope():
     assert (wrow["min_lat"], wrow["max_lat"]) == (10.0, 20.0)
 
 
-def test_hull_delta_way_and_relation():
+def test_hull_delta_way_and_relation(store_windows):
     """hull_delta: a way's hull is its member-node hull; a relation's
     hull spans FULL member-way geometry (all way nodes, not just way
     centroids)."""
@@ -361,7 +357,8 @@ def test_hull_delta_way_and_relation():
         [dict(op="modify", kind="node", id=101, version=2, ts=1000,
               payload=fixtures._payload(lon=10.0, lat=10.0))],
         schema=fixtures.CHANGES_SCHEMA))
-    out = update.apply_update(nodes, ways, rels, changes)
+    store, idx = store_windows.store(nodes, ways, rels)
+    _, out = store_windows.apply(store, idx, changes)
     hd = out["hull_delta"].to_pandas().set_index(["kind", "id"])
     w = hd.loc[("way", 51)]
     assert set(zip(w["hull_lon"], w["hull_lat"])) == {
@@ -378,10 +375,11 @@ def test_hull_delta_way_and_relation():
     assert abs(area - 100.0) < 1e-9
 
 
-def test_derive_apply_roundtrip_nodes():
+def test_derive_apply_roundtrip_nodes(store_windows):
     """Full producer-consumer round trip: snapshot pair -> derived
-    changes -> canonical OsmChange XML -> parsed back -> apply_update
-    reproduces the new node set exactly."""
+    changes -> canonical OsmChange XML -> parsed back -> one window
+    applied to a store holding the old snapshot leaves exactly the new
+    node set in the store."""
     import ray.data as rd
 
     from oluray.pipelines import update as U
@@ -414,11 +412,9 @@ def test_derive_apply_roundtrip_nodes():
     changes = rd.from_arrow(
         pa.Table.from_pylist(parsed, schema=fixtures.CHANGES_SCHEMA)
     )
-    res = U.apply_update(
-        rd.from_arrow(nodes_t), rd.from_arrow(ways_t), rd.from_arrow(rels_t),
-        changes,
-    )
-    got = (res["nodes"].to_pandas()[["id", "lon", "lat"]]
+    store, idx = store_windows.store(nodes_t, ways_t, rels_t)
+    store_windows.apply(store, idx, changes)
+    got = (store.read("nodes").to_pandas()[["id", "lon", "lat"]]
            .sort_values("id").reset_index(drop=True))
     want = (new[["id", "lon", "lat"]]
             .sort_values("id").reset_index(drop=True))

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-import ray.data
 
 from oluray.sources import fixtures, osc, replication as rep
 
@@ -149,36 +148,10 @@ def test_decide_start_sequence(tmp_path):
         rep.decide_start_sequence(client)
 
 
-def test_update_from_replication_e2e(tmp_path):
-    client = rep.ReplicationClient(rep.LocalDirTransport(_mirror(tmp_path)))
-    nodes_t, ways_t, rels_t = fixtures.make_snapshot(200, seed=11)
-    nodes = ray.data.from_arrow(nodes_t)
-    ways = ray.data.from_arrow(ways_t)
-    rels = ray.data.from_arrow(rels_t)
-
-    out = rep.update_from_replication(
-        nodes, ways, rels, client, sequence=4, concurrency=2
-    )
-    assert out["start_sequence"] == 4 and out["latest_sequence"] == 8
-    new_nodes = out["nodes"].to_pandas()
-    # every fetched diff node (104..108) landed with its new longitude
-    for seq in range(4, 9):
-        row = new_nodes[new_nodes["id"] == 100 + seq]
-        assert len(row) == 1
-        assert float(row["lon"].iloc[0]) == pytest.approx(1.0 + seq)
-
-    # already up to date -> None (the reference's early return,
-    # `src/osm/OsmUpdater.cpp:68-75`)
-    assert (
-        rep.update_from_replication(nodes, ways, rels, client, sequence=9)
-        is None
-    )
-
-
-def test_run_replication_windows_and_resume(tmp_path):
-    """Multi-window continuous update (the reference's server loop):
-    each window writes its geo delta resumably; a re-run skips the
-    finished windows' partitions while rebuilding the snapshot."""
+def test_run_replication_windows_and_resume(tmp_path, store_windows):
+    """Multi-window continuous update over the store (the reference's
+    server loop): each window writes its geo delta resumably; a re-run
+    skips the finished windows' partitions and store commits."""
     import glob
     import json
 
@@ -187,26 +160,19 @@ def test_run_replication_windows_and_resume(tmp_path):
     from oluray.pipelines import stream
 
     client = rep.ReplicationClient(rep.LocalDirTransport(_mirror(tmp_path)))
-    nodes_t, ways_t, rels_t = fixtures.make_snapshot(200, seed=11)
+    store, idx = store_windows.store(*fixtures.make_snapshot(200, seed=11))
     out_dir = str(tmp_path / "geo")
 
-    def snap():
-        return (
-            ray.data.from_arrow(nodes_t),
-            ray.data.from_arrow(ways_t),
-            ray.data.from_arrow(rels_t),
-        )
-
-    n, w, r = snap()
-    res = stream.run_replication_windows(
-        n, w, r, client, out_dir, sequence=3, window_size=3, concurrency=2
+    res = stream.run_replication_windows_store(
+        store, client, out_dir, sequence=3, window_size=3, ref_index=idx,
+        concurrency=2,
     )
     assert [wi["window_id"] for wi in res["windows"]] == [
         "w000000003_000000005", "w000000006_000000008",
     ]
     assert all(wi["rows"] > 0 for wi in res["windows"])
     # every fetched diff node landed in the final snapshot
-    final_nodes = res["nodes"].to_pandas()
+    final_nodes = store.read("nodes").to_pandas()
     for seq in range(3, 9):
         assert (final_nodes["id"] == 100 + seq).sum() == 1
 
@@ -220,11 +186,15 @@ def test_run_replication_windows_and_resume(tmp_path):
         stamps[wi["window_id"]] = {
             p: i["finished_at"] for p, i in man["partitions"].items()
         }
+    store_stamps = {
+        wi["window_id"]: store.window_manifest(wi["window_id"])["finished_at"]
+        for wi in res["windows"]
+    }
 
-    # re-run same windows: snapshot rebuilt, all partitions skipped
-    n, w, r = snap()
-    res2 = stream.run_replication_windows(
-        n, w, r, client, out_dir, sequence=3, window_size=3, concurrency=2
+    # re-run same windows: all partitions and store commits skipped
+    res2 = stream.run_replication_windows_store(
+        store, client, out_dir, sequence=3, window_size=3, ref_index=idx,
+        concurrency=2,
     )
     assert [wi["rows"] for wi in res2["windows"]] == [
         rows1[wi["window_id"]] for wi in res2["windows"]
@@ -233,16 +203,17 @@ def test_run_replication_windows_and_resume(tmp_path):
         man = json.load(open(f"{out_dir}/{wi['window_id']}/_manifest.json"))
         got = {p: i["finished_at"] for p, i in man["partitions"].items()}
         assert got == stamps[wi["window_id"]]  # nothing rewritten
+        assert store.window_manifest(wi["window_id"])["finished_at"] == \
+            store_stamps[wi["window_id"]]
 
-    # up to date -> None
-    n, w, r = snap()
-    assert (
-        stream.run_replication_windows(n, w, r, client, out_dir, sequence=9)
-        is None
-    )
+    # up to date -> None (the reference's early return,
+    # `src/osm/OsmUpdater.cpp:68-75`)
+    assert stream.run_replication_windows_store(
+        store, client, out_dir, sequence=9, ref_index=idx,
+    ) is None
 
 
-def test_run_replication_windows_quiet_window(tmp_path):
+def test_run_replication_windows_quiet_window(tmp_path, store_windows):
     """A valid-but-empty change file (maintenance gap) is skipped,
     not fatal (EmptyDiffError would otherwise abort the loop)."""
     from oluray.pipelines import stream
@@ -259,16 +230,16 @@ def test_run_replication_windows_quiet_window(tmp_path):
         "sequenceNumber=4\ntimestamp=2024-01-01T04\\:00\\:00Z\n"
     )
     client = rep.ReplicationClient(rep.LocalDirTransport(str(root)))
-    nodes_t, ways_t, rels_t = fixtures.make_snapshot(60, seed=11)
-    res = stream.run_replication_windows(
-        ray.data.from_arrow(nodes_t), ray.data.from_arrow(ways_t),
-        ray.data.from_arrow(rels_t), client, str(tmp_path / "geo"),
-        sequence=3, window_size=1, concurrency=2,
+    store, idx = store_windows.store(*fixtures.make_snapshot(60, seed=11))
+    res = stream.run_replication_windows_store(
+        store, client, str(tmp_path / "geo"), sequence=3, window_size=1,
+        ref_index=idx, concurrency=2,
     )
     assert len(res["windows"]) == 2
     assert res["windows"][0]["rows"] > 0
     assert res["windows"][1] == {
         "window_id": "w000000004_000000004", "first_seq": 4, "last_seq": 4,
-        "partitions": 0, "rows": 0,
+        "partitions": 0, "rows": 0, "store_buckets": {},
     }
-    assert (res["nodes"].to_pandas()["id"] == 103).sum() == 1
+    assert store.window_manifest("w000000004_000000004") is None
+    assert (store.read("nodes").to_pandas()["id"] == 103).sum() == 1

@@ -2,8 +2,8 @@
 continuous window loop's scale-shaped snapshot — per window, ONLY
 buckets holding a changed id are rewritten (the reference's in-place
 point-update semantics, `src/osm/OsmChangeHandler.cpp:493-575`),
-while the full-rewrite loop and the store loop must agree exactly on
-geo deltas and the final snapshot."""
+while the store loop must agree exactly with a pure-Python replay of
+the same windows on geo deltas and the final snapshot."""
 
 import glob
 import gzip
@@ -123,22 +123,16 @@ def test_store_create_read_roundtrip(tmp_path):
     assert two == ["id", "lon"]
 
 
-def test_store_loop_matches_full_rewrite_loop(tmp_path):
-    """(a) identical geo_delta per window AND final snapshot vs the
-    full-rewrite loop on the same mirror."""
+def test_store_loop_matches_oracle(tmp_path, replication_oracle):
+    """(a) every geo-delta column of every window, and the final
+    snapshot, match the pure-Python replication oracle on the same
+    mirror."""
+    from oluray.functions import geo
     from oluray.pipelines import stream
 
     mirror = _rich_mirror(tmp_path)
     client = rep.ReplicationClient(rep.LocalDirTransport(mirror))
     nodes_t, ways_t, rels_t = _snap_tables()
-
-    out_a = str(tmp_path / "geo_full")
-    res_a = stream.run_replication_windows(
-        ray.data.from_arrow(nodes_t), ray.data.from_arrow(ways_t),
-        ray.data.from_arrow(rels_t), client, out_a,
-        sequence=3, window_size=2,
-    )
-
     store = SnapshotStore.create(
         str(tmp_path / "store"),
         {"nodes": ray.data.from_arrow(nodes_t),
@@ -146,30 +140,38 @@ def test_store_loop_matches_full_rewrite_loop(tmp_path):
          "relations": ray.data.from_arrow(rels_t)},
         n_buckets=16,
     )
-    out_b = str(tmp_path / "geo_store")
-    res_b = stream.run_replication_windows_store(
-        store, client, out_b, sequence=3, window_size=2,
+    out = str(tmp_path / "geo_store")
+    res = stream.run_replication_windows_store(
+        store, client, out, sequence=3, window_size=2,
     )
+    assert [w["window_id"] for w in res["windows"]] == [
+        "w000000003_000000004", "w000000005_000000006",
+    ]
 
-    assert [w["window_id"] for w in res_a["windows"]] == \
-           [w["window_id"] for w in res_b["windows"]]
-    # per-window geo deltas identical
-    for w in res_a["windows"]:
-        wid = w["window_id"]
-        ta = pq.read_table(f"{out_a}/{wid}").to_pandas()
-        tb = pq.read_table(f"{out_b}/{wid}").to_pandas()
-        key = ["kind", "id"]
-        ta = ta.sort_values(key).reset_index(drop=True).sort_index(axis=1)
-        tb = tb.sort_values(key).reset_index(drop=True).sort_index(axis=1)
-        pd.testing.assert_frame_equal(ta, tb, check_like=True)
-    # final snapshots identical
-    for kind, full in (("nodes", res_a["nodes"]), ("ways", res_a["ways"]),
-                       ("relations", res_a["relations"])):
+    windows = [
+        [r for s in range(w["first_seq"], w["last_seq"] + 1)
+         for r in osc.parse_osc_bytes(osc.decompress(client.change_bytes(s)))]
+        for w in res["windows"]
+    ]
+    exp_deltas, exp_snap = replication_oracle(nodes_t, ways_t, rels_t, windows)
+    cols = ["kind", "id", "lon", "lat", "cell",
+            "min_lon", "min_lat", "max_lon", "max_lat"]
+    for w, exp in zip(res["windows"], exp_deltas):
+        got = pq.read_table(f"{out}/{w['window_id']}").to_pandas()
+        assert sorted(got.columns) == sorted(cols + ["part"])
+        part = got.pop("part").astype(str).astype("int64").to_numpy()
+        np.testing.assert_array_equal(
+            part, geo.cell_parent(got["cell"].to_numpy(), 2))
+        got = got.sort_values(["kind", "id"]).reset_index(drop=True)[cols]
+        got["kind"] = got["kind"].astype(object)
+        assert len(got) == w["rows"] > 0
+        pd.testing.assert_frame_equal(got, exp[cols], check_exact=True)
+    for kind in ("nodes", "ways", "relations"):
         got = _norm(_sorted_pdf(store.read(kind)))
-        exp = _norm(_sorted_pdf(full))
+        exp = _norm(_sorted_pdf(exp_snap[kind].to_pandas()))
         pd.testing.assert_frame_equal(got, exp, check_like=True)
     # pruning evidence rode back in the results
-    assert all(isinstance(w["store_buckets"], dict) for w in res_b["windows"])
+    assert all(isinstance(w["store_buckets"], dict) for w in res["windows"])
 
 
 def test_store_apply_prunes_buckets(tmp_path):
@@ -363,10 +365,10 @@ def test_ref_index_owners_match_closure_scan(tmp_path):
 
 
 def test_indexed_loop_matches_plain_store_loop(tmp_path):
-    """The diff-proportional indexed loop must produce byte-identical
-    geo deltas and final snapshot vs the scan-closure store loop, and
-    the maintained index must equal a fresh rebuild from the final
-    snapshot."""
+    """The loop given an explicit RefIndex must produce byte-identical
+    geo deltas and final snapshot vs the loop that builds its own
+    co-located index, and the maintained index must equal a fresh
+    rebuild from the final snapshot."""
     from oluray.pipelines import stream
     from oluray.state.refindex import RefIndex
 
@@ -516,11 +518,14 @@ def test_store_loop_auto_index(tmp_path):
     assert all("index_buckets" in w for w in res["windows"]
                if w["partitions"] > 0)
 
-    # second call (already up to date) reuses the same index untouched
+    # second call re-runs the same windows against the committed store
+    # and reuses the same index untouched
     mtime = os.path.getmtime(os.path.join(idx_root, "_refindex.json"))
-    assert stream.run_replication_windows_store(
+    res2 = stream.run_replication_windows_store(
         store, client, str(tmp_path / "geo2"), sequence=3, window_size=2,
-    ) is None or True  # loop may return result with 0 new windows
+    )
+    assert [w["window_id"] for w in res2["windows"]] == \
+        [w["window_id"] for w in res["windows"]]
     assert os.path.getmtime(
         os.path.join(idx_root, "_refindex.json")) == mtime
 
