@@ -18,10 +18,15 @@ manifest-gated per window, so a re-run with the same `out_dir` skips
 the already-written partitions and the committed windows — geometry
 rows land exactly once, and a half-applied window converges.
 
-Scale notes: a window rewrites only the store and index buckets its
-changed ids hash to; geometry deltas are partitioned by coarse geo
-cell (`geo.cell_parent`), the same key the flagship sink uses, so a
-failed window resumes per spatial region.
+Scale notes: a feed window is fetched and parsed on the driver and
+stays a driver table through merge, apply and commit while its merged
+row count fits `closure.DRIVER_WINDOW_ROWS` — a minutely
+window's only Ray Data execution is the geo-delta sink write; larger
+windows (or lazy inputs) run every step as Ray Data dataflow. A window
+rewrites only the store and index buckets its changed ids hash to;
+geometry deltas are partitioned by coarse geo cell
+(`geo.cell_parent`), the same key the flagship sink uses, so a failed
+window resumes per spatial region.
 """
 
 from __future__ import annotations
@@ -61,11 +66,14 @@ def apply_merged_window(
     mutations, point-update the store (only buckets holding a changed
     id are rewritten; the store manifest records which), apply the
     index. The reference's in-place point-update semantics
-    (`src/osm/OsmChangeHandler.cpp:493-575`) made durable: write cost per window is O(diff + touched-bucket rows),
-    not O(snapshot).
+    (`src/osm/OsmChangeHandler.cpp:493-575`) made durable: write cost
+    per window is O(diff + touched-bucket rows), not O(snapshot). A
+    materialized window of at most `closure.DRIVER_WINDOW_ROWS` rows
+    runs apply, staging and commit on driver tables.
 
     Ordering contract: the geo-delta sink is consumed BEFORE the store
-    mutates (the delta lineage lazily reads the store's bucket files),
+    mutates (a distributed window's delta lineage lazily reads the
+    store's bucket files),
     and the index is staged BEFORE the store mutates (the stale index
     entries to drop are only derivable from the pre-update snapshot;
     a crash-rerun reuses the durable staging). Crash anywhere is safe:
@@ -98,19 +106,7 @@ def apply_merged_window(
     if output_mode != "endpoint":
         result["artifact"] = out["update_artifact"]
         return result
-    _stage_ref_index(ref_index, store, merged, window_id)
-    all_ops = ("create", "modify", "delete")
-    apply_man = store.apply_window(
-        window_id,
-        {
-            "nodes": (upd._keys_of(merged, "node", all_ops),
-                      upd._payload_nodes(merged)),
-            "ways": (upd._keys_of(merged, "way", all_ops),
-                     upd._payload_ways(merged)),
-            "relations": (upd._keys_of(merged, "relation", all_ops),
-                          upd._payload_relations(merged)),
-        },
-    )
+    apply_man = _commit_store(store, ref_index, merged, window_id)
     result["store_buckets"] = {
         k: v["touched_buckets"] for k, v in apply_man["kinds"].items()
     }
@@ -130,7 +126,6 @@ def run_replication_windows_store(
     cell_res: int = 12,
     part_res: int = 2,
     ref_index=None,
-    **fetch_kw,
 ) -> dict | None:
     """Consume the replication feed from the decided start up to the
     server's latest state in windows of `window_size` sequences, each
@@ -161,12 +156,10 @@ def run_replication_windows_store(
     while s <= latest:
         e = min(s + window_size - 1, latest)
         wid = f"w{s:09d}_{e:09d}"
-        changes = rep.fetch_changes(client, s, e, **fetch_kw)
+        changes = rep.fetch_changes(client, s, e)
         w = {"window_id": wid, "first_seq": s, "last_seq": e}
         try:
-            merged = merge_latest_wins(
-                changes.drop_columns(["seq"])
-            ).materialize()
+            merged = merge_latest_wins(changes).materialize()
         except EmptyDiffError:
             w.update(partitions=0, rows=0, store_buckets={})
         else:
@@ -267,36 +260,39 @@ def _ensure_ref_index(store):
     return RefIndex(root)
 
 
-def _stage_ref_index(ref_index, store, merged, wid: str) -> None:
-    """Stage the window's index mutations BEFORE the store mutates
+def _commit_store(store, ref_index, merged, wid: str) -> dict:
+    """Stage the window's index mutations, then point-update the store
+    (only buckets holding a changed id are rewritten); returns the
+    store's window manifest. Staging runs BEFORE the store mutates
     (stale entries to drop = exploded PRE-update rows of the changed
     owners). A crash-rerun whose store already mutated reuses the
     durable staging — re-deriving it then would read post-update rows
     and miss the truly-old keys' buckets."""
     import os
 
-    from oluray.pipelines.update import (
-        _keys_of, _payload_relations, _payload_ways,
-    )
     from oluray.state import refindex as rix
 
-    if ref_index.window_manifest(wid) is not None:
-        return
-    if os.path.exists(os.path.join(ref_index.stage_dir(wid), "_done")):
-        return
-    all_ops = ("create", "modify", "delete")
-    way_keys = _keys_of(merged, "way", all_ops)
-    rel_keys = _keys_of(merged, "relation", all_ops)
-    old = rix.explode_ways_entries(
-        store.lookup("ways", way_keys, columns=["id", "nd_refs"])
-    ).union(rix.explode_relations_entries(
-        store.lookup("relations", rel_keys, columns=["id", "members"])
-    ))
-    new = rix.explode_ways_entries(_payload_ways(merged)).union(
-        rix.explode_relations_entries(_payload_relations(merged))
-    )
-    ref_index.stage_window(
-        wid,
-        {"way": way_keys.to_array(), "relation": rel_keys.to_array()},
-        old, new,
-    )
+    ops, frame = upd._ops_for(merged)
+    changes = upd.window_changes(ops, frame)
+    staged = ref_index.window_manifest(wid) is not None or os.path.exists(
+        os.path.join(ref_index.stage_dir(wid), "_done"))
+    if not staged:
+        way_keys, ways = changes["ways"]
+        rel_keys, rels = changes["relations"]
+        old = ops.union(
+            ops.map(ops.lookup(store, "ways", way_keys, ["id", "nd_refs"]),
+                    rix.way_entries),
+            ops.map(ops.lookup(store, "relations", rel_keys,
+                               ["id", "members"]), rix.relation_entries),
+        )
+        new = ops.union(ops.map(ways, rix.way_entries),
+                        ops.map(rels, rix.relation_entries))
+        ref_index.stage_window(
+            wid,
+            {"way": way_keys.to_array(), "relation": rel_keys.to_array()},
+            old, new,
+        )
+    return store.apply_window(wid, {
+        kind: (keys, ops.dataset(rows))
+        for kind, (keys, rows) in changes.items()
+    })

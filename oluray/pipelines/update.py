@@ -1,7 +1,6 @@
 """Full update pipeline: apply a merged OsmChange window to a
 bucketed snapshot store — the reference's complete run loop
-(`/root/reference/src/osm/OsmChangeHandler.cpp:74-117`) re-expressed
-as Ray Data dataflow:
+(`src/osm/OsmChangeHandler.cpp:74-117`):
 
   merged window (O1, `diff.merge_latest_wins`) ─► per-kind op sets
       (M1/ST1)
@@ -13,18 +12,36 @@ as Ray Data dataflow:
          osm2rdf delegation) ─► geo delta rows
       ─► run counters (A4)
 
+Every step is a module-level kernel (`pa.Table -> pa.Table`, or a
+pandas function for the per-key geometry) run by one of two
+compositions of the same step list, chosen by one observable
+property — the merged row count against `closure.DRIVER_WINDOW_ROWS`
+(and `broadcast_limit`, when that is lower):
+
+- **driver** (`_DriverOps`): a materialized window that fits — every
+  minutely window and a 100k-move backfill — runs on
+  driver `pa.Table`s: `pa.Table.join`, `pc.is_in` set filters, each
+  per-key kernel once over the whole frame. Context comes from
+  `store.lookup` / `ref_index.owners_of`, whose fast paths read the
+  pruned buckets on the driver. No Ray Data execution.
+- **distributed** (`_DatasetOps`): larger windows keep Ray Data
+  dataflow — hash-partitioned `joins.hash_join`, size-probed
+  `closure.KeySet` semi/anti joins, per-key kernels per hash
+  partition (`joins.partitioned_map`); nothing snapshot-sized reaches
+  the driver.
+
 The snapshot delete+insert itself (modify = delete+reinsert,
-`:444-447,578-590`) is the caller's commit step,
-`SnapshotStore.apply_window`. All set logic is size-probed semi/anti
-joins (the twelve in-heap id sets of
-`include/osm/OsmChangeHandler.h:55-89` become `closure.KeySet`s:
-broadcast key arrays while a window's changed-id set fits
-`broadcast_limit`, hash-partitioned `joins.semi_join` shuffles above
-it — the 100 TB backfill window switches automatically, r3); nothing
-materializes the snapshot on the driver.
+`:444-447,578-590`) is the caller's commit step
+(`stream.apply_merged_window`), fed by `window_changes`. Derived
+geometry that no window consumes — convex hull / min-area OBB and
+multipolygon area cover — is computed on request by
+`derived_geometry`.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -35,138 +52,399 @@ import ray.data
 from oluray.functions import geo
 from oluray.stages import closure, joins
 
+_ALL_OPS = ("create", "modify", "delete")
+_UPSERT = ("create", "modify")
 
-_DIFF_CACHE_ABSENT = object()
-
-
-def _diff_frame(merged: ray.data.Dataset, limit: int):
-    """(kind, op, id) of a broadcast-sized merged diff, pulled ONCE
-    and cached on the dataset object: a window calls `_keys_of` ~10
-    times (change-file sets, touched sets, the store loop's apply
-    keys, index staging keys) and each used to run its own
-    distinct-combiner pipeline over the same materialized diff —
-    pure fixed Ray-job overhead at minutely-window scale. Diffs
-    beyond `limit` rows return None (callers keep the distributed
-    path)."""
-    cached = getattr(merged, "_oluray_diff_cache", _DIFF_CACHE_ABSENT)
-    if cached is not _DIFF_CACHE_ABSENT:
-        return cached
-    frame = None
-    if merged.count() <= limit:
-        import pandas as pd
-
-        parts = list(
-            merged.select_columns(["kind", "op", "id"]).iter_batches(
-                batch_format="pandas"
-            )
-        )
-        frame = (
-            pd.concat(parts, ignore_index=True)
-            if parts else
-            pd.DataFrame({"kind": pd.Series([], dtype=object),
-                          "op": pd.Series([], dtype=object),
-                          "id": pd.Series([], dtype="int64")})
-        )
-    try:
-        merged._oluray_diff_cache = frame
-    except Exception:
-        pass
-    return frame
+# static schema hints for the distributed composition: either side of
+# a join can be EMPTY (e.g. a node-only diff touching no ways), and
+# Ray drops empty map-output blocks, leaving no runtime schema
+_EXPLODED = closure.EXPLODED_WAYS_SCHEMA
+_LOCS = closure.LOCATIONS_SCHEMA
+_EXT = [("min_lon", pa.float64()), ("min_lat", pa.float64()),
+        ("max_lon", pa.float64()), ("max_lat", pa.float64())]
+_CENT = pa.schema(
+    [("way_id", pa.int64()), ("lon", pa.float64()), ("lat", pa.float64())]
+    + _EXT
+)
+_MEM = pa.schema(
+    [("rel_id", pa.int64()), ("ref", pa.int64()), ("pos", pa.int64())]
+)
+_WLOC = pa.schema(
+    [("way_id", pa.int64()), ("node_id", pa.int64()), ("pos", pa.int64()),
+     ("lon", pa.float64()), ("lat", pa.float64())]
+)
+_HULL = pa.schema(
+    [("kind", pa.string()), ("id", pa.int64()),
+     ("hull_lon", pa.list_(pa.float64())),
+     ("hull_lat", pa.list_(pa.float64())),
+     ("obb_lon", pa.list_(pa.float64())),
+     ("obb_lat", pa.list_(pa.float64()))]
+)
+# context columns read per kind (the overlay's projection)
+_CTX_COLS = {"nodes": ["id", "lon", "lat"], "ways": ["id", "nd_refs"],
+             "relations": ["id", "members", "type"]}
 
 
-def _keys_of(
-    merged: ray.data.Dataset, kind: str, ops: tuple[str, ...],
-    limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
-) -> closure.KeySet:
-    frame = _diff_frame(merged, limit)
-    if frame is not None:
-        m = (frame["kind"].to_numpy() == kind) & np.isin(
-            frame["op"].to_numpy(), list(ops)
-        )
-        return closure.KeySet.from_array(
-            frame["id"].to_numpy()[m].astype(np.int64), limit
-        )
-    sel = merged.map_batches(
-        lambda t, kind=kind, ops=ops: t.filter(
-            pc.and_(pc.equal(t["kind"], kind), pc.is_in(t["op"], value_set=pa.array(ops)))
-        ),
-        batch_format="pyarrow",
+# -- kernels -----------------------------------------------------------
+
+
+def changed_rows(t: pa.Table, kind: str, ops: tuple[str, ...]) -> pa.Table:
+    """Merged-window rows of `kind` whose op is in `ops`."""
+    return t.filter(pc.and_(
+        pc.equal(t["kind"], kind),
+        pc.is_in(t["op"], value_set=pa.array(list(ops), pa.string())),
+    ))
+
+
+def node_payload(t: pa.Table) -> pa.Table:
+    """created|modified node rows -> nodes-schema rows."""
+    t = changed_rows(t, "node", _UPSERT)
+    p = t.column("payload").combine_chunks()
+    return pa.table(
+        {
+            "id": t["id"],
+            "lon": p.field("lon"),
+            "lat": p.field("lat"),
+            "tags": p.field("tags"),
+            "version": t["version"],
+            "ts": t["ts"],
+        }
     )
-    return closure.distinct_keys(sel, "id", limit=limit)
+
+
+def way_payload(t: pa.Table) -> pa.Table:
+    """created|modified way rows -> ways-schema rows."""
+    t = changed_rows(t, "way", _UPSERT)
+    p = t.column("payload").combine_chunks()
+    return pa.table(
+        {
+            "id": t["id"],
+            "nd_refs": p.field("nd_refs"),
+            "tags": p.field("tags"),
+            "version": t["version"],
+            "ts": t["ts"],
+        }
+    )
+
+
+def relation_payload(t: pa.Table) -> pa.Table:
+    """created|modified relation rows -> relations-schema rows."""
+    t = changed_rows(t, "relation", _UPSERT)
+    p = t.column("payload").combine_chunks()
+    tags = p.field("tags")
+    # relation `type` comes from its tags (multipolygon predicate
+    # M2) — vectorized map lookup, not a to_pylist() row loop
+    types = pc.map_lookup(tags, query_key="type", occurrence="first")
+    return pa.table(
+        {
+            "id": t["id"],
+            "members": p.field("members"),
+            "type": types,
+            "tags": tags,
+            "version": t["version"],
+            "ts": t["ts"],
+        }
+    )
+
+
+# store kind -> (change-row kind, payload kernel)
+_PAYLOADS = {"nodes": ("node", node_payload), "ways": ("way", way_payload),
+             "relations": ("relation", relation_payload)}
 
 
 def _payload_nodes(merged: ray.data.Dataset) -> ray.data.Dataset:
-    """created|modified node rows -> nodes-schema rows."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.filter(
-            pc.and_(
-                pc.equal(t["kind"], "node"),
-                pc.is_in(t["op"], value_set=pa.array(["create", "modify"])),
-            )
-        )
-        p = t.column("payload").combine_chunks()
-        return pa.table(
-            {
-                "id": t["id"],
-                "lon": p.field("lon"),
-                "lat": p.field("lat"),
-                "tags": p.field("tags"),
-                "version": t["version"],
-                "ts": t["ts"],
-            }
-        )
-
-    return merged.map_batches(fn, batch_format="pyarrow")
+    return merged.map_batches(node_payload, batch_format="pyarrow")
 
 
 def _payload_ways(merged: ray.data.Dataset) -> ray.data.Dataset:
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.filter(
-            pc.and_(
-                pc.equal(t["kind"], "way"),
-                pc.is_in(t["op"], value_set=pa.array(["create", "modify"])),
-            )
-        )
-        p = t.column("payload").combine_chunks()
-        return pa.table(
-            {
-                "id": t["id"],
-                "nd_refs": p.field("nd_refs"),
-                "tags": p.field("tags"),
-                "version": t["version"],
-                "ts": t["ts"],
-            }
-        )
-
-    return merged.map_batches(fn, batch_format="pyarrow")
+    return merged.map_batches(way_payload, batch_format="pyarrow")
 
 
 def _payload_relations(merged: ray.data.Dataset) -> ray.data.Dataset:
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.filter(
-            pc.and_(
-                pc.equal(t["kind"], "relation"),
-                pc.is_in(t["op"], value_set=pa.array(["create", "modify"])),
-            )
+    return merged.map_batches(relation_payload, batch_format="pyarrow")
+
+
+def members_of_type(t: pa.Table, typ: str) -> pa.Table:
+    return t.filter(pc.equal(t["type"], typ))
+
+
+def outer_way_members(t: pa.Table) -> pa.Table:
+    """Way members in an outer (or unlabelled) role."""
+    return t.filter(pc.and_(
+        pc.equal(t["type"], "way"),
+        pc.is_in(t["role"], value_set=pa.array(["outer", ""])),
+    ))
+
+
+def multipolygons(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["type"], "multipolygon"))
+
+
+def point_extents(t: pa.Table) -> pa.Table:
+    """A point's envelope is the point itself."""
+    for c_src, c_dst in (("lon", "min_lon"), ("lat", "min_lat"),
+                         ("lon", "max_lon"), ("lat", "max_lat")):
+        t = t.append_column(c_dst, t[c_src])
+    return t
+
+
+def seg_stats(df: pd.DataFrame, key: str) -> pd.DataFrame:
+    """Per-key centroid AND envelope of member points in member-
+    position order — `np.add.reduceat` sums sequentially within
+    each segment, so the mean is bit-identical to the brute-force
+    in-order mean; min/max reduceats in the SAME pass give the
+    envelope (osm2rdf emits `envelope` per element,
+    reference `tests/data/node.ttl:33-37` — r3). Member
+    rows may carry their own extents (way members of a relation
+    contribute their full envelope, not just their centroid);
+    point members fall back to lon/lat."""
+    if len(df) == 0:
+        cols = {key: pd.Series([], dtype="int64")}
+        for c in ("lon", "lat", "min_lon", "min_lat", "max_lon", "max_lat"):
+            cols[c] = pd.Series([], dtype="float64")
+        return pd.DataFrame(cols)
+    df = df.sort_values([key, "pos"], kind="mergesort")
+    keys = df[key].to_numpy()
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[starts, len(keys)])
+    lonv = df["lon"].to_numpy()
+    latv = df["lat"].to_numpy()
+    mnlo = df["min_lon"].to_numpy() if "min_lon" in df.columns else lonv
+    mnla = df["min_lat"].to_numpy() if "min_lat" in df.columns else latv
+    mxlo = df["max_lon"].to_numpy() if "max_lon" in df.columns else lonv
+    mxla = df["max_lat"].to_numpy() if "max_lat" in df.columns else latv
+    return pd.DataFrame(
+        {
+            key: keys[starts],
+            "lon": np.add.reduceat(lonv, starts) / counts,
+            "lat": np.add.reduceat(latv, starts) / counts,
+            "min_lon": np.minimum.reduceat(mnlo, starts),
+            "min_lat": np.minimum.reduceat(mnla, starts),
+            "max_lon": np.maximum.reduceat(mxlo, starts),
+            "max_lat": np.maximum.reduceat(mxla, starts),
+        }
+    )
+
+
+def delta_rows(t: pa.Table, kind: str, id_col: str, cell_res: int) -> pa.Table:
+    """(id, centroid, envelope) rows -> geo-delta rows of `kind`."""
+    lon = t["lon"].to_numpy(zero_copy_only=False)
+    lat = t["lat"].to_numpy(zero_copy_only=False)
+    return pa.table(
+        {
+            "kind": pa.array([kind] * t.num_rows, pa.string()),
+            "id": t[id_col].cast(pa.int64()),
+            "lon": t["lon"],
+            "lat": t["lat"],
+            "cell": pa.array(geo.cell_encode(lon, lat, cell_res)),
+            "min_lon": t["min_lon"],
+            "min_lat": t["min_lat"],
+            "max_lon": t["max_lon"],
+            "max_lat": t["max_lat"],
+        }
+    )
+
+
+def node_delta_rows(t: pa.Table, cell_res: int) -> pa.Table:
+    """Node payload rows -> geo-delta rows (envelope = the point)."""
+    return delta_rows(point_extents(t.select(["id", "lon", "lat"])),
+                      "node", "id", cell_res)
+
+
+def hull_rows(df: pd.DataFrame, key: str) -> pa.Table:
+    """Per-key convex hull + minimum-area OBB vertex lists of the
+    member points (`way_id` keys ways, `rel_id` relations)."""
+    kind = "way" if key == "way_id" else "relation"
+    ids, hlo, hla, olo, ola = [], [], [], [], []
+    for kid, g in df.groupby(key, sort=False):
+        hx, hy = geo.convex_hull(g["lon"].to_numpy(), g["lat"].to_numpy())
+        ox, oy = geo.min_area_obb(hx, hy)
+        ids.append(kid)
+        hlo.append(hx)
+        hla.append(hy)
+        olo.append(ox)
+        ola.append(oy)
+    return pa.table(
+        {
+            "kind": pa.array([kind] * len(ids), pa.string()),
+            "id": pa.array(np.asarray(ids, dtype=np.int64)),
+            "hull_lon": pa.array(hlo, pa.list_(pa.float64())),
+            "hull_lat": pa.array(hla, pa.list_(pa.float64())),
+            "obb_lon": pa.array(olo, pa.list_(pa.float64())),
+            "obb_lat": pa.array(ola, pa.list_(pa.float64())),
+        },
+        schema=_HULL,
+    )
+
+
+def area_cells(df: pd.DataFrame, area_res: int) -> pd.DataFrame:
+    """Ring rows (rel_id, pos [member], node_id, pos_r [within-way],
+    lon, lat) -> (rel_id, ring_id, cell): per relation, member ways in
+    member order, each way's nodes in way order, stitched into rings
+    by endpoint NODE ID and covered with cells."""
+    out_rel: list[np.ndarray] = []
+    out_ring: list[np.ndarray] = []
+    out_cell: list[np.ndarray] = []
+    for rid, g in df.groupby("rel_id", sort=False):
+        g = g.sort_values(["pos", "pos_r"], kind="mergesort")
+        segs = [
+            (gg["node_id"].to_numpy(), gg["lon"].to_numpy(), gg["lat"].to_numpy())
+            for _, gg in g.groupby("pos", sort=False)
+        ]
+        for ri, (rx, ry) in enumerate(geo.assemble_rings(segs)):
+            cells = geo.polygon_cover(rx, ry, area_res)
+            out_rel.append(np.full(len(cells), rid, dtype=np.int64))
+            out_ring.append(np.full(len(cells), ri, dtype=np.int64))
+            out_cell.append(cells)
+    if not out_rel:
+        return pd.DataFrame(
+            {"rel_id": pd.Series([], dtype="int64"),
+             "ring_id": pd.Series([], dtype="int64"),
+             "cell": pd.Series([], dtype="int64")}
         )
-        p = t.column("payload").combine_chunks()
-        tags = p.field("tags")
-        # relation `type` comes from its tags (multipolygon predicate
-        # M2) — vectorized map lookup, not a to_pylist() row loop
-        types = pc.map_lookup(tags, query_key="type", occurrence="first")
-        return pa.table(
-            {
-                "id": t["id"],
-                "members": p.field("members"),
-                "type": types,
-                "tags": tags,
-                "version": t["version"],
-                "ts": t["ts"],
-            }
+    return pd.DataFrame(
+        {"rel_id": np.concatenate(out_rel),
+         "ring_id": np.concatenate(out_ring),
+         "cell": np.concatenate(out_cell)}
+    )
+
+
+# -- the two compositions ---------------------------------------------
+
+
+class _DriverOps:
+    """Frames are driver `pa.Table`s."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def map(self, t, fn):
+        return fn(t)
+
+    def select(self, t, cols):
+        return t.select(cols)
+
+    def keys(self, t, col) -> closure.KeySet:
+        return closure.KeySet.from_array(
+            t[col].to_numpy(zero_copy_only=False), self.limit)
+
+    def semi(self, t, col, ks, schema=None):
+        return t.filter(self._member(t, col, ks))
+
+    def anti(self, t, col, ks, schema=None):
+        return t.filter(pc.invert(self._member(t, col, ks)))
+
+    @staticmethod
+    def _member(t, col, ks):
+        return pc.is_in(t[col], value_set=pa.array(ks.to_array(), pa.int64()))
+
+    def union(self, a, b):
+        return pa.concat_tables([a, b.select(a.column_names).cast(a.schema)])
+
+    def join(self, left, right, on, right_on, left_schema=None,
+             right_schema=None):
+        return left.join(right, keys=on, right_keys=right_on,
+                         join_type="inner", right_suffix="_r")
+
+    def per_key(self, t, key, fn):
+        out = fn(t.to_pandas())
+        if isinstance(out, pa.Table):
+            return out
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    def pin(self, t):
+        return t
+
+    def lookup(self, store, kind, ks, cols):
+        t = closure.local_table(
+            store.lookup(kind, ks, columns=cols).materialize(), limit=None)
+        if t is None:  # a lazy lookup that produced no blocks
+            sch = store.schema(kind)
+            t = pa.schema([sch.field(c) for c in cols]).empty_table()
+        return t
+
+    def dataset(self, t):
+        return ray.data.from_arrow(t)
+
+    def counts(self, t):
+        g = t.group_by(["op", "kind"]).aggregate([("id", "count")])
+        return ray.data.from_arrow(pa.table({
+            "op": g["op"], "kind": g["kind"], "count()": g["id_count"],
+        }).sort_by([("op", "ascending"), ("kind", "ascending")]))
+
+
+class _DatasetOps:
+    """Frames are Ray Datasets."""
+
+    PARTITIONS = 16
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def map(self, ds, fn):
+        return ds.map_batches(fn, batch_format="pyarrow")
+
+    def select(self, ds, cols):
+        return ds.select_columns(cols)
+
+    def keys(self, ds, col) -> closure.KeySet:
+        return closure.distinct_keys(ds, col, limit=self.limit)
+
+    def semi(self, ds, col, ks, schema=None):
+        return closure.semi_join(ds, col, ks, schema=schema)
+
+    def anti(self, ds, col, ks, schema=None):
+        return closure.anti_join(ds, col, ks, schema=schema)
+
+    def union(self, a, b):
+        return a.union(b)
+
+    def join(self, left, right, on, right_on, left_schema=None,
+             right_schema=None):
+        return joins.hash_join(
+            left, right, on=on, right_on=right_on,
+            num_partitions=self.PARTITIONS,
+            left_schema=left_schema, right_schema=right_schema,
         )
 
-    return merged.map_batches(fn, batch_format="pyarrow")
+    def per_key(self, ds, key, fn):
+        return joins.partitioned_map(ds, [key], fn,
+                                     num_partitions=self.PARTITIONS)
+
+    def pin(self, ds):
+        return ds.materialize()
+
+    def lookup(self, store, kind, ks, cols):
+        return store.lookup(kind, ks, columns=cols)
+
+    def dataset(self, ds):
+        return ds
+
+    def counts(self, ds):
+        return ds.groupby(["op", "kind"]).count()
+
+
+def _ops_for(merged: ray.data.Dataset,
+             limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT):
+    """(ops, frame): the driver composition over the window's table
+    when `merged` is materialized and has at most `limit` and at most
+    `closure.DRIVER_WINDOW_ROWS` rows, else the distributed one over
+    the Dataset itself. `limit` also caps broadcast key sets."""
+    t = closure.local_table(merged, min(limit, closure.DRIVER_WINDOW_ROWS))
+    if t is not None:
+        return _DriverOps(limit), t
+    return _DatasetOps(limit), merged
+
+
+def window_changes(ops, frame) -> dict:
+    """The commit's input: kind -> (KeySet of every changed id,
+    created|modified rows in the kind's snapshot schema)."""
+    return {
+        kind: (ops.keys(ops.map(frame, partial(
+            changed_rows, kind=k, ops=_ALL_OPS)), "id"),
+            ops.map(frame, payload))
+        for kind, (k, payload) in _PAYLOADS.items()
+    }
 
 
 def _write_update_artifact(
@@ -247,54 +525,21 @@ def _write_update_artifact(
     return man
 
 
-def apply_update(
-    merged: ray.data.Dataset,
-    store,
-    ref_index,
-    cell_res: int = 12,
-    broadcast_limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
-    area_res: int = 8,
-    output_mode: str = "endpoint",
-    output_dir: str | None = None,
-) -> dict:
-    """Apply one latest-wins-merged change window (`diff.
-    merge_latest_wins`, ideally materialized: it is consumed ~10 times
-    below) against a `state.snapshot.SnapshotStore` and the
-    `state.refindex.RefIndex` built over the same snapshot. Returns
-    `geo_delta` (recomputed geometry rows — centroid + cell + ENVELOPE
-    — for changed + impacted elements), `area_cover` (cell cover of
-    touched multipolygon relations' assembled outer rings at
-    `area_res`), `hull_delta` (convex hull + min-area OBB vertex lists
-    per touched way/relation), the impacted id sets and `counts` (A4).
+def _context(ops, frame, store, ref_index) -> SimpleNamespace:
+    """Impact closure and the post-update context slice of a window:
+    the changed/impacted id sets, the touched relations and their
+    members, member-node locations and located way nodes."""
+    lim = ops.limit
 
-    The window runs DIFF-PROPORTIONALLY: impact closure answers from
-    the reverse index's pruned buckets (the reference's SPARQL store
-    answers J1-J3 from its triple indexes, `src/sparql/QueryWriter.cpp:
-    169-220`), and context rows (member ways/nodes of touched
-    elements) come from `store.lookup` point reads overlaid with this
-    window's payloads. Nothing here mutates the store or the index:
-    the caller commits the delete+insert (`store.apply_window`) and
-    the index maintenance after consuming the delta
-    (`stream.apply_merged_window`).
-
-    `broadcast_limit`: id sets up to this many keys ride as broadcast
-    arrays (zero shuffles — every minutely window); larger sets stay
-    distributed and every membership filter switches to a
-    hash-partitioned semi join (the backfill-window path)."""
-    if output_mode not in ("endpoint", "file", "debug_file"):
-        raise ValueError(f"unknown output_mode {output_mode!r}")
-    if output_mode != "endpoint" and output_dir is None:
-        raise ValueError(f"output_mode={output_mode!r} requires output_dir")
-    BL = broadcast_limit
-    nodes_sch = store.schema("nodes")
-    ways_sch = store.schema("ways")
-    rels_sch = store.schema("relations")
+    def keys(kind, op_set):
+        return ops.keys(ops.map(frame, partial(
+            changed_rows, kind=kind, ops=op_set)), "id")
 
     # membership sets (ST1) as size-probed KeySets
-    node_in_cf = _keys_of(merged, "node", ("create", "modify", "delete"), BL)
-    way_in_cf = _keys_of(merged, "way", ("create", "modify", "delete"), BL)
-    rel_in_cf = _keys_of(merged, "relation", ("create", "modify", "delete"), BL)
-    modified_nodes = _keys_of(merged, "node", ("modify", "delete"), BL)
+    node_in_cf = keys("node", _ALL_OPS)
+    way_in_cf = keys("way", _ALL_OPS)
+    rel_in_cf = keys("relation", _ALL_OPS)
+    modified_nodes = keys("node", ("modify", "delete"))
 
     # impact closure on the NEW snapshot (geometry of unchanged ways/
     # relations referencing changed nodes must be recomputed), from the
@@ -303,168 +548,77 @@ def apply_update(
     # window's owners can't leak in (the index is maintained at window
     # end, after closure)
     ways_geo = ref_index.owners_of(
-        modified_nodes, ("node",), "way", exclude=way_in_cf, limit=BL
+        modified_nodes, ("node",), "way", exclude=way_in_cf, limit=lim
     )
     rels_geo = ref_index.owners_of(
-        modified_nodes, ("node",), "relation", exclude=rel_in_cf, limit=BL,
+        modified_nodes, ("node",), "relation", exclude=rel_in_cf, limit=lim,
     ).union(ref_index.owners_of(
         ways_geo.union(way_in_cf), ("way",), "relation",
-        exclude=rel_in_cf, limit=BL,
+        exclude=rel_in_cf, limit=lim,
     ))
+    touched_ways = ways_geo.union(keys("way", _UPSERT))
+    touched_rels = rels_geo.union(keys("relation", _UPSERT))
 
-    # context fetch + geometry recompute (replaces the osm2rdf
-    # delegation): explode way refs -> hash join with node locations
-    # -> segmented in-order mean (`np.add.reduceat`)
-    touched_ways = ways_geo.union(
-        _keys_of(merged, "way", ("create", "modify"), BL)
-    )
-    touched_rels = rels_geo.union(
-        _keys_of(merged, "relation", ("create", "modify"), BL)
-    )
-
-    def _overlay(kind, ids_ks, payload, changed_ks, sch):
+    def overlay(kind, ids_ks, changed_ks):
         """Post-update rows of `kind` restricted to `ids_ks`: store
         point reads (bucket-pruned) minus every id changed this
         window, plus this window's payload rows — the post-update
-        snapshot slice without a snapshot-sized Dataset ever
-        existing."""
-        base = closure.anti_join(
-            store.lookup(kind, ids_ks), "id", changed_ks, schema=sch
-        )
-        pay = closure.semi_join(payload, "id", ids_ks, schema=sch)
-        return base.union(pay)
+        snapshot slice without a snapshot-sized frame ever existing."""
+        cols = _CTX_COLS[kind]
+        sch = store.schema(kind)
+        sch = pa.schema([sch.field(c) for c in cols])
+        base = ops.anti(ops.lookup(store, kind, ids_ks, cols), "id",
+                        changed_ks, schema=sch)
+        pay = ops.semi(ops.select(ops.map(frame, _PAYLOADS[kind][1]), cols),
+                       "id", ids_ks, schema=sch)
+        return ops.union(base, pay)
 
     # relation members (J5) from the touched-relation point reads:
     # node refs need locations, way refs need centroids — so the
     # centroid-target way set is touched ways PLUS unchanged member
-    # ways of impacted relations (context only). Both are pinned: the
-    # slice feeds the member explode AND the multipolygon filter, the
+    # ways of impacted relations (context only). Pinned: the slice
+    # feeds the member explode AND the multipolygon filter, the
     # explode feeds the node/way/outer member splits
-    rel_touched = _overlay(
-        "relations", touched_rels, _payload_relations(merged),
-        rel_in_cf, rels_sch,
-    ).materialize()
-    rel_mem = closure.explode_relation_members(
-        rel_touched
-    ).materialize()  # (rel_id, ref, type, role, pos)
-    rel_node_refs = closure.distinct_keys(
-        rel_mem.map_batches(
-            lambda b: b.filter(pc.equal(b["type"], "node")),
-            batch_format="pyarrow",
-        ), "ref", limit=BL,
-    )
-    rel_way_refs = closure.distinct_keys(
-        rel_mem.map_batches(
-            lambda b: b.filter(pc.equal(b["type"], "way")),
-            batch_format="pyarrow",
-        ), "ref", limit=BL,
-    )
-    centroid_ways = touched_ways.union(rel_way_refs)
-    ways_sel = _overlay(
-        "ways", centroid_ways, _payload_ways(merged), way_in_cf, ways_sch,
-    ).materialize()
-    exploded = closure.explode_way_refs(ways_sel)  # (way_id, node_id, pos)
-    member_nodes = closure.distinct_keys(exploded, "node_id", limit=BL)
-    need_nodes = member_nodes.union(rel_node_refs)
+    rel_touched = ops.pin(overlay("relations", touched_rels, rel_in_cf))
+    rel_mem = ops.pin(ops.map(rel_touched, closure.relation_member_rows))
+    node_mem = ops.map(rel_mem, partial(members_of_type, typ="node"))
+    way_mem = ops.map(rel_mem, partial(members_of_type, typ="way"))
+    ways_sel = ops.pin(overlay(
+        "ways", touched_ways.union(ops.keys(way_mem, "ref")), way_in_cf))
+    exploded = ops.map(ways_sel, closure.way_ref_rows)  # (way_id, node_id, pos)
+    need_nodes = ops.keys(exploded, "node_id").union(
+        ops.keys(node_mem, "ref"))
     # pinned: locs feeds the way-point join AND the relation node-
     # member join
-    locs = _overlay(
-        "nodes", need_nodes, _payload_nodes(merged), node_in_cf, nodes_sch,
-    ).map_batches(
-        lambda t: t.select(["id", "lon", "lat"]), batch_format="pyarrow"
-    ).materialize()  # (id, lon, lat)
-    # static schema hints: either side can be EMPTY (e.g. a node-only
-    # diff touching no ways), and Ray drops empty map-output blocks,
-    # leaving no runtime schema to join on
-    _EXPLODED = pa.schema(
-        [("way_id", pa.int64()), ("node_id", pa.int64()), ("pos", pa.int64())]
-    )
-    _LOCS = pa.schema([("id", pa.int64()), ("lon", pa.float64()), ("lat", pa.float64())])
-    _EXT = [("min_lon", pa.float64()), ("min_lat", pa.float64()),
-            ("max_lon", pa.float64()), ("max_lat", pa.float64())]
-    _CENT = pa.schema(
-        [("way_id", pa.int64()), ("lon", pa.float64()), ("lat", pa.float64())]
-        + _EXT
-    )
-    _MEM = pa.schema([("rel_id", pa.int64()), ("ref", pa.int64()), ("pos", pa.int64())])
-    wloc = joins.hash_join(
-        exploded, locs, on="node_id", right_on="id", num_partitions=16,
-        left_schema=_EXPLODED, right_schema=_LOCS,
-    ).materialize()
+    locs = ops.pin(overlay("nodes", need_nodes, node_in_cf))  # (id, lon, lat)
     # inner join: missing member nodes tolerated (J7 missing-ok).
-    # materialize: wloc is DIFF-scale (member nodes of touched ways)
-    # and now has four consumers (way centroids, ring assembly, way
-    # hulls, relation member points) — pinning beats re-running the
-    # explode+join lineage per consumer
+    # Pinned: wloc is DIFF-scale and feeds way centroids, ring
+    # assembly, way hulls and relation member points
+    wloc = ops.pin(ops.join(exploded, locs, "node_id", "id",
+                            _EXPLODED, _LOCS))
+    # pinned: feeds the relation centroid pass AND the hull source
+    node_pts = ops.pin(ops.map(ops.select(ops.join(
+        ops.select(node_mem, ["rel_id", "ref", "pos"]), locs, "ref", "id",
+        _MEM, _LOCS,
+    ), ["rel_id", "pos", "lon", "lat"]), point_extents))
+    return SimpleNamespace(
+        node_in_cf=node_in_cf, ways_geo=ways_geo, rels_geo=rels_geo,
+        touched_ways=touched_ways, rel_touched=rel_touched,
+        rel_mem=rel_mem, way_mem=way_mem, wloc=wloc, node_pts=node_pts,
+    )
 
-    def _seg_stats(df: pd.DataFrame, key: str) -> pd.DataFrame:
-        """Per-key centroid AND envelope of member points in member-
-        position order — `np.add.reduceat` sums sequentially within
-        each segment, so the mean is bit-identical to the brute-force
-        in-order mean; min/max reduceats in the SAME pass give the
-        envelope (osm2rdf emits `envelope` per element,
-        `/root/reference/tests/data/node.ttl:33-37` — r3). Member
-        rows may carry their own extents (way members of a relation
-        contribute their full envelope, not just their centroid);
-        point members fall back to lon/lat."""
-        if len(df) == 0:
-            cols = {key: pd.Series([], dtype="int64")}
-            for c in ("lon", "lat", "min_lon", "min_lat", "max_lon", "max_lat"):
-                cols[c] = pd.Series([], dtype="float64")
-            return pd.DataFrame(cols)
-        df = df.sort_values([key, "pos"], kind="mergesort")
-        keys = df[key].to_numpy()
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        counts = np.diff(np.r_[starts, len(keys)])
-        lonv = df["lon"].to_numpy()
-        latv = df["lat"].to_numpy()
-        mnlo = df["min_lon"].to_numpy() if "min_lon" in df.columns else lonv
-        mnla = df["min_lat"].to_numpy() if "min_lat" in df.columns else latv
-        mxlo = df["max_lon"].to_numpy() if "max_lon" in df.columns else lonv
-        mxla = df["max_lat"].to_numpy() if "max_lat" in df.columns else latv
-        return pd.DataFrame(
-            {
-                key: keys[starts],
-                "lon": np.add.reduceat(lonv, starts) / counts,
-                "lat": np.add.reduceat(latv, starts) / counts,
-                "min_lon": np.minimum.reduceat(mnlo, starts),
-                "min_lat": np.minimum.reduceat(mnla, starts),
-                "max_lon": np.maximum.reduceat(mxlo, starts),
-                "max_lat": np.maximum.reduceat(mxla, starts),
-            }
-        )
 
-    way_cent = joins.partitioned_map(
-        wloc.select_columns(["way_id", "pos", "lon", "lat"]),
-        ["way_id"], lambda df: _seg_stats(df, "way_id"), num_partitions=16,
-    ).materialize()
-    # (way_id, centroid, envelope) for every centroid-target way —
-    # pinned: consumed by way_delta AND the relation way-member join
-
-    def _delta_rows(kind: str, id_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            lon = t["lon"].to_numpy(zero_copy_only=False)
-            lat = t["lat"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "kind": pa.array([kind] * t.num_rows),
-                    "id": t[id_col].cast(pa.int64()),
-                    "lon": t["lon"],
-                    "lat": t["lat"],
-                    "cell": pa.array(geo.cell_encode(lon, lat, cell_res)),
-                    "min_lon": t["min_lon"],
-                    "min_lat": t["min_lat"],
-                    "max_lon": t["max_lon"],
-                    "max_lat": t["max_lat"],
-                }
-            )
-
-        return fn
-
-    way_delta = closure.semi_join(
-        way_cent, "way_id", touched_ways, schema=_CENT
-    ).map_batches(_delta_rows("way", "way_id"), batch_format="pyarrow")
-
+def _geo_delta(ops, frame, ctx, cell_res: int):
+    """Recomputed centroid + cell + envelope rows of the created/
+    modified nodes and the touched ways and relations."""
+    way_cent = ops.pin(ops.per_key(
+        ops.select(ctx.wloc, ["way_id", "pos", "lon", "lat"]), "way_id",
+        partial(seg_stats, key="way_id"),
+    ))  # pinned: consumed by way_delta AND the relation way-member join
+    way_delta = ops.map(
+        ops.semi(way_cent, "way_id", ctx.touched_ways, schema=_CENT),
+        partial(delta_rows, kind="way", id_col="way_id", cell_res=cell_res),
+    )
     # relation geometry recompute (the reference rebuilds relations
     # through J5/J9 dummy elements + osm2rdf, `src/osm/
     # OsmChangeHandler.cpp:343-424`, `src/osm/Osm2ttl.cpp:38-109`):
@@ -472,191 +626,62 @@ def apply_update(
     # node member contributes its location and a way member its
     # centroid; members of type relation are skipped (J4 disabled in
     # the reference too)
-    node_mem = rel_mem.map_batches(
-        lambda b: b.filter(pc.equal(b["type"], "node")), batch_format="pyarrow"
+    way_pts = ops.select(ops.join(
+        ops.select(ctx.way_mem, ["rel_id", "ref", "pos"]), way_cent,
+        "ref", "way_id", _MEM, _CENT,
+    ), ["rel_id", "pos", "lon", "lat",
+        "min_lon", "min_lat", "max_lon", "max_lat"])
+    rel_delta = ops.map(
+        ops.per_key(ops.union(ctx.node_pts, way_pts), "rel_id",
+                    partial(seg_stats, key="rel_id")),
+        partial(delta_rows, kind="relation", id_col="rel_id",
+                cell_res=cell_res),
     )
-    way_mem = rel_mem.map_batches(
-        lambda b: b.filter(pc.equal(b["type"], "way")), batch_format="pyarrow"
-    )
-    def _point_extents(t: pa.Table) -> pa.Table:
-        for c_src, c_dst in (("lon", "min_lon"), ("lat", "min_lat"),
-                             ("lon", "max_lon"), ("lat", "max_lat")):
-            t = t.append_column(c_dst, t[c_src])
-        return t
-
-    node_pts = joins.hash_join(
-        node_mem.select_columns(["rel_id", "ref", "pos"]), locs,
-        on="ref", right_on="id", num_partitions=16,
-        left_schema=_MEM, right_schema=_LOCS,
-    ).select_columns(["rel_id", "pos", "lon", "lat"]).map_batches(
-        _point_extents, batch_format="pyarrow"
-    ).materialize()
-    # pinned: feeds the relation centroid pass AND the hull source —
-    # without the pin the node-member x locations shuffle runs twice
-    way_pts = joins.hash_join(
-        way_mem.select_columns(["rel_id", "ref", "pos"]), way_cent,
-        on="ref", right_on="way_id", num_partitions=16,
-        left_schema=_MEM, right_schema=_CENT,
-    ).select_columns(
-        ["rel_id", "pos", "lon", "lat",
-         "min_lon", "min_lat", "max_lon", "max_lat"]
-    )
-    rel_cent = joins.partitioned_map(
-        node_pts.union(way_pts), ["rel_id"],
-        lambda df: _seg_stats(df, "rel_id"), num_partitions=16,
-    )
-    rel_delta = rel_cent.map_batches(
-        _delta_rows("relation", "rel_id"), batch_format="pyarrow"
-    )
-
-    # multipolygon AREA geometry (M2 + the reference's _modifiedAreas
-    # tracking, `src/osm/OsmChangeHandler.cpp:166-197`; osm2rdf emits
-    # the assembled area, `tests/data/relation.ttl`): outer rings
-    # stitched from member-way node sequences, covered with cells —
-    # "which tiles does this changed AREA touch", not just where its
-    # centroid lands (r3)
-    mp_rels = rel_touched.map_batches(
-        lambda t: t.filter(pc.equal(t["type"], "multipolygon")),
-        batch_format="pyarrow",
-    )
-    mp_keys = closure.distinct_keys(mp_rels, "id", limit=BL)
-    outer_mem = rel_mem.map_batches(
-        lambda t: t.filter(
-            pc.and_(
-                pc.equal(t["type"], "way"),
-                pc.is_in(t["role"], value_set=pa.array(["outer", ""])),
-            )
-        ),
-        batch_format="pyarrow",
-    )
-    outer_mem = closure.semi_join(
-        outer_mem, "rel_id", mp_keys, schema=closure.EXPLODED_MEMBERS_SCHEMA
-    )
-    _WLOC = pa.schema(
-        [("way_id", pa.int64()), ("node_id", pa.int64()), ("pos", pa.int64()),
-         ("lon", pa.float64()), ("lat", pa.float64())]
-    )
-    ring_rows = joins.hash_join(
-        outer_mem.select_columns(["rel_id", "ref", "pos"]), wloc,
-        on="ref", right_on="way_id", num_partitions=16,
-        left_schema=_MEM, right_schema=_WLOC,
-    )  # (rel_id, ref, pos [member], node_id, pos_r [within-way], lon, lat)
-
-    def area_cells(df: pd.DataFrame) -> pd.DataFrame:
-        out_rel: list[np.ndarray] = []
-        out_ring: list[np.ndarray] = []
-        out_cell: list[np.ndarray] = []
-        # per relation: member ways in member order, each way's nodes
-        # in way order -> stitch rings by endpoint NODE ID -> cover
-        for rid, g in df.groupby("rel_id", sort=False):
-            g = g.sort_values(["pos", "pos_r"], kind="mergesort")
-            segs = [
-                (gg["node_id"].to_numpy(), gg["lon"].to_numpy(), gg["lat"].to_numpy())
-                for _, gg in g.groupby("pos", sort=False)
-            ]
-            for ri, (rx, ry) in enumerate(geo.assemble_rings(segs)):
-                cells = geo.polygon_cover(rx, ry, area_res)
-                out_rel.append(np.full(len(cells), rid, dtype=np.int64))
-                out_ring.append(np.full(len(cells), ri, dtype=np.int64))
-                out_cell.append(cells)
-        if not out_rel:
-            return pd.DataFrame(
-                {"rel_id": pd.Series([], dtype="int64"),
-                 "ring_id": pd.Series([], dtype="int64"),
-                 "cell": pd.Series([], dtype="int64")}
-            )
-        return pd.DataFrame(
-            {"rel_id": np.concatenate(out_rel),
-             "ring_id": np.concatenate(out_ring),
-             "cell": np.concatenate(out_cell)}
-        )
-
-    area_cover = joins.partitioned_map(
-        ring_rows, ["rel_id"], area_cells, num_partitions=16
-    )
-
-    # convex hull + minimum-area OBB per touched way/relation (the
-    # rest of osm2rdf's derived geometry, `tests/data/node.ttl:33-37`
-    # — envelope already rides in geo_delta; a node's hull/obb
-    # degenerate to its point so nodes are not emitted). Relation
-    # hulls use FULL member geometry: node members' locations plus
-    # every node of member ways (not just way centroids)
-    def _hull_rows(key: str):
-        _H = pa.schema(
-            [("kind", pa.string()), ("id", pa.int64()),
-             ("hull_lon", pa.list_(pa.float64())),
-             ("hull_lat", pa.list_(pa.float64())),
-             ("obb_lon", pa.list_(pa.float64())),
-             ("obb_lat", pa.list_(pa.float64()))]
-        )
-        kind = "way" if key == "way_id" else "relation"
-
-        def fn(df: pd.DataFrame) -> pa.Table:
-            ids, hlo, hla, olo, ola = [], [], [], [], []
-            for kid, g in df.groupby(key, sort=False):
-                hx, hy = geo.convex_hull(g["lon"].to_numpy(), g["lat"].to_numpy())
-                ox, oy = geo.min_area_obb(hx, hy)
-                ids.append(kid)
-                hlo.append(hx)
-                hla.append(hy)
-                olo.append(ox)
-                ola.append(oy)
-            return pa.table(
-                {
-                    "kind": pa.array([kind] * len(ids), pa.string()),
-                    "id": pa.array(np.asarray(ids, dtype=np.int64)),
-                    "hull_lon": pa.array(hlo, pa.list_(pa.float64())),
-                    "hull_lat": pa.array(hla, pa.list_(pa.float64())),
-                    "obb_lon": pa.array(olo, pa.list_(pa.float64())),
-                    "obb_lat": pa.array(ola, pa.list_(pa.float64())),
-                },
-                schema=_H,
-            )
-
-        return fn
-
-    way_hull_src = closure.semi_join(
-        wloc, "way_id", touched_ways, schema=_WLOC
-    ).select_columns(["way_id", "lon", "lat"])
-    way_hulls = joins.partitioned_map(
-        way_hull_src, ["way_id"], _hull_rows("way_id"), num_partitions=16
-    )
-    rel_way_pts_full = joins.hash_join(
-        way_mem.select_columns(["rel_id", "ref", "pos"]), wloc,
-        on="ref", right_on="way_id", num_partitions=16,
-        left_schema=_MEM, right_schema=_WLOC,
-    ).select_columns(["rel_id", "lon", "lat"])
-    rel_hull_src = node_pts.select_columns(["rel_id", "lon", "lat"]).union(
-        rel_way_pts_full
-    )
-    rel_hulls = joins.partitioned_map(
-        rel_hull_src, ["rel_id"], _hull_rows("rel_id"), num_partitions=16
-    )
-    hull_delta = way_hulls.union(rel_hulls)
-
-    def node_delta_fn(t: pa.Table) -> pa.Table:
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "kind": pa.array(["node"] * t.num_rows),
-                "id": t["id"],
-                "lon": t["lon"],
-                "lat": t["lat"],
-                "cell": pa.array(geo.cell_encode(lon, lat, cell_res)),
-            }
-        )
-        return _point_extents(t)
-
     # the post-update rows of the created/modified nodes are exactly
     # this window's payload rows
-    node_delta = _payload_nodes(merged).map_batches(
-        node_delta_fn, batch_format="pyarrow"
-    )
+    node_delta = ops.map(ops.map(frame, node_payload),
+                         partial(node_delta_rows, cell_res=cell_res))
+    return ops.union(ops.union(node_delta, way_delta), rel_delta)
 
-    geo_delta = node_delta.union(way_delta).union(rel_delta)
 
-    counts = merged.groupby(["op", "kind"]).count()
+def apply_update(
+    merged: ray.data.Dataset,
+    store,
+    ref_index,
+    cell_res: int = 12,
+    broadcast_limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
+    output_mode: str = "endpoint",
+    output_dir: str | None = None,
+) -> dict:
+    """Apply one latest-wins-merged change window (`diff.
+    merge_latest_wins`, materialized) against a `state.snapshot.
+    SnapshotStore` and the `state.refindex.RefIndex` built over the
+    same snapshot. Returns `geo_delta` (recomputed geometry rows —
+    centroid + cell + ENVELOPE — for changed + impacted elements), the
+    impacted id sets and `counts` (A4), as Datasets and KeySets.
+
+    The window runs DIFF-PROPORTIONALLY: impact closure answers from
+    the reverse index's pruned buckets (the reference's SPARQL store
+    answers J1-J3 from its triple indexes, `src/sparql/QueryWriter.cpp:
+    169-220`), and context rows (member ways/nodes of touched
+    elements) come from `store.lookup` point reads overlaid with this
+    window's payloads. Nothing here mutates the store or the index:
+    the caller commits the delete+insert and the index maintenance
+    after consuming the delta (`stream.apply_merged_window`).
+
+    A materialized window of at most `closure.DRIVER_WINDOW_ROWS`
+    and at most `broadcast_limit` rows runs the driver composition
+    (tables, zero Ray Data executions — every minutely window); a
+    larger one runs the distributed composition, where id sets up to
+    `broadcast_limit` keys ride as broadcast arrays and larger ones
+    switch every membership filter to a hash-partitioned semi join."""
+    if output_mode not in ("endpoint", "file", "debug_file"):
+        raise ValueError(f"unknown output_mode {output_mode!r}")
+    if output_mode != "endpoint" and output_dir is None:
+        raise ValueError(f"output_mode={output_mode!r} requires output_dir")
+    ops, frame = _ops_for(merged, broadcast_limit)
+    ctx = _context(ops, frame, store, ref_index)
+    geo_delta = ops.dataset(_geo_delta(ops, frame, ctx, cell_res))
 
     update_artifact = None
     if output_mode != "endpoint":
@@ -670,19 +695,19 @@ def apply_update(
         # the changed ways' other member nodes
         refs = closure.distinct_keys(
             closure.explode_way_refs(_payload_ways(merged)),
-            "node_id", limit=BL,
+            "node_id", limit=broadcast_limit,
         )
-        ctx = store.lookup("nodes", refs, columns=["id", "lon", "lat"])
+        ctx_nodes = store.lookup("nodes", refs, columns=["id", "lon", "lat"])
         loc_src = _payload_nodes(merged).select_columns(
             ["id", "lon", "lat"]
         ).union(closure.anti_join(
-            ctx, "id", node_in_cf, schema=closure.LOCATIONS_SCHEMA,
+            ctx_nodes, "id", ctx.node_in_cf, schema=closure.LOCATIONS_SCHEMA,
         ))
         update_artifact = _write_update_artifact(
             merged, loc_src, output_dir,
             debug_sets=(
-                {"impacted_ways": ways_geo,
-                 "impacted_relations": rels_geo}
+                {"impacted_ways": ctx.ways_geo,
+                 "impacted_relations": ctx.rels_geo}
                 if output_mode == "debug_file" else None
             ),
         )
@@ -690,15 +715,66 @@ def apply_update(
     return {
         "update_artifact": update_artifact,
         "geo_delta": geo_delta,
-        "area_cover": area_cover,  # (rel_id, ring_id, cell) for
-        # touched multipolygon relations' assembled outer rings
-        "hull_delta": hull_delta,  # (kind, id, hull/obb vertex lists)
-        # per touched way/relation — full member geometry
         # KeySets (`.tolist()` / `.to_array()` for broadcast-sized
         # sets; `.ds` to consume a backfill-scale set distributed)
-        "impacted_ways": ways_geo,
-        "impacted_relations": rels_geo,
-        "counts": counts,
+        "impacted_ways": ctx.ways_geo,
+        "impacted_relations": ctx.rels_geo,
+        "counts": ops.counts(frame),
+    }
+
+
+def derived_geometry(
+    merged: ray.data.Dataset,
+    store,
+    ref_index,
+    area_res: int = 8,
+    broadcast_limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
+) -> dict:
+    """The rest of osm2rdf's derived geometry for a window's touched
+    elements, computed on request (no window consumes it): on the
+    same post-update context slice as `apply_update` — so call it
+    before or after the window commits, the slice is the same —
+    returns as Datasets:
+
+    - `hull_delta`: (kind, id, hull/obb vertex lists) — convex hull +
+      minimum-area OBB per touched way/relation (`tests/data/
+      node.ttl:33-37`); relation hulls use FULL member geometry (node
+      members' locations plus every node of member ways). Nodes are
+      not emitted: their hull/obb degenerate to the point.
+    - `area_cover`: (rel_id, ring_id, cell) — the cell cover at
+      `area_res` of each touched multipolygon relation's outer rings,
+      stitched from member-way node sequences (M2 + the reference's
+      `_modifiedAreas` tracking, `src/osm/OsmChangeHandler.cpp:
+      166-197`; osm2rdf emits the assembled area,
+      `tests/data/relation.ttl`)."""
+    ops, frame = _ops_for(merged, broadcast_limit)
+    ctx = _context(ops, frame, store, ref_index)
+    mp_keys = ops.keys(ops.map(ctx.rel_touched, multipolygons), "id")
+    outer_mem = ops.semi(ops.map(ctx.rel_mem, outer_way_members), "rel_id",
+                         mp_keys, schema=closure.EXPLODED_MEMBERS_SCHEMA)
+    ring_rows = ops.join(
+        ops.select(outer_mem, ["rel_id", "ref", "pos"]), ctx.wloc,
+        "ref", "way_id", _MEM, _WLOC,
+    )  # (rel_id, ref, pos [member], node_id, pos_r [within-way], lon, lat)
+    area_cover = ops.per_key(ring_rows, "rel_id",
+                             partial(area_cells, area_res=area_res))
+
+    way_hulls = ops.per_key(ops.select(
+        ops.semi(ctx.wloc, "way_id", ctx.touched_ways, schema=_WLOC),
+        ["way_id", "lon", "lat"],
+    ), "way_id", partial(hull_rows, key="way_id"))
+    rel_way_pts = ops.select(ops.join(
+        ops.select(ctx.way_mem, ["rel_id", "ref", "pos"]), ctx.wloc,
+        "ref", "way_id", _MEM, _WLOC,
+    ), ["rel_id", "lon", "lat"])
+    rel_hulls = ops.per_key(
+        ops.union(ops.select(ctx.node_pts, ["rel_id", "lon", "lat"]),
+                  rel_way_pts),
+        "rel_id", partial(hull_rows, key="rel_id"),
+    )
+    return {
+        "hull_delta": ops.dataset(ops.union(way_hulls, rel_hulls)),
+        "area_cover": ops.dataset(area_cover),
     }
 
 

@@ -32,52 +32,52 @@ import ray
 import ray.data
 
 
-def explode_way_refs(ways: ray.data.Dataset) -> ray.data.Dataset:
+def way_ref_rows(batch: pa.Table) -> pa.Table:
     """ways(id, nd_refs) -> (way_id, node_id, pos) one row per member.
 
     M5 reference extractor (`src/osm/OsmChangeHandler.cpp:662-706`).
     """
+    refs = batch["nd_refs"].combine_chunks()
+    flat = pc.list_flatten(refs)
+    parents = pc.list_parent_indices(refs)
+    way_ids = pc.take(batch["id"], parents)
+    # position within each list
+    offs = refs.offsets.to_numpy(zero_copy_only=False)
+    sizes = np.diff(offs)
+    pos = np.concatenate([np.arange(s) for s in sizes]) if len(sizes) else np.array([], np.int64)
+    return pa.table(
+        {"way_id": way_ids, "node_id": flat, "pos": pa.array(pos, pa.int64())}
+    )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        refs = batch["nd_refs"].combine_chunks()
-        if isinstance(refs, pa.ChunkedArray):
-            refs = refs.combine_chunks()
-        flat = pc.list_flatten(refs)
-        parents = pc.list_parent_indices(refs)
-        way_ids = pc.take(batch["id"], parents)
-        # position within each list
-        offs = refs.offsets.to_numpy(zero_copy_only=False)
-        sizes = np.diff(offs)
-        pos = np.concatenate([np.arange(s) for s in sizes]) if len(sizes) else np.array([], np.int64)
-        return pa.table(
-            {"way_id": way_ids, "node_id": flat, "pos": pa.array(pos, pa.int64())}
-        )
 
-    return ways.map_batches(fn, batch_format="pyarrow")
+def relation_member_rows(batch: pa.Table) -> pa.Table:
+    """relations(id, members) -> (rel_id, ref, type, role, pos)."""
+    mem = batch["members"].combine_chunks()
+    flat = pc.list_flatten(mem)
+    parents = pc.list_parent_indices(mem)
+    rel_ids = pc.take(batch["id"], parents)
+    offs = mem.offsets.to_numpy(zero_copy_only=False)
+    sizes = np.diff(offs)
+    pos = np.concatenate([np.arange(s) for s in sizes]) if len(sizes) else np.array([], np.int64)
+    return pa.table(
+        {
+            "rel_id": rel_ids,
+            "ref": flat.field("ref"),
+            "type": flat.field("type"),
+            "role": flat.field("role"),
+            "pos": pa.array(pos, pa.int64()),
+        }
+    )
+
+
+def explode_way_refs(ways: ray.data.Dataset) -> ray.data.Dataset:
+    """`way_ref_rows` over a Dataset."""
+    return ways.map_batches(way_ref_rows, batch_format="pyarrow")
 
 
 def explode_relation_members(relations: ray.data.Dataset) -> ray.data.Dataset:
-    """relations(id, members) -> (rel_id, ref, type, role, pos)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        mem = batch["members"].combine_chunks()
-        flat = pc.list_flatten(mem)
-        parents = pc.list_parent_indices(mem)
-        rel_ids = pc.take(batch["id"], parents)
-        offs = mem.offsets.to_numpy(zero_copy_only=False)
-        sizes = np.diff(offs)
-        pos = np.concatenate([np.arange(s) for s in sizes]) if len(sizes) else np.array([], np.int64)
-        return pa.table(
-            {
-                "rel_id": rel_ids,
-                "ref": flat.field("ref"),
-                "type": flat.field("type"),
-                "role": flat.field("role"),
-                "pos": pa.array(pos, pa.int64()),
-            }
-        )
-
-    return relations.map_batches(fn, batch_format="pyarrow")
+    """`relation_member_rows` over a Dataset."""
+    return relations.map_batches(relation_member_rows, batch_format="pyarrow")
 
 
 def broadcast_keys(keys) -> "ray.ObjectRef":
@@ -91,6 +91,34 @@ def broadcast_keys(keys) -> "ray.ObjectRef":
 # (~32 MB, far more than any replication window's changed-id set)
 # is where the dispatch flips to a hash-partitioned semi join
 DEFAULT_BROADCAST_KEY_LIMIT = 4_000_000
+
+# a materialized change window of at most this many rows is merged,
+# applied and committed as driver tables; larger ones run as Ray Data
+# dataflow. Measured with one backfill-shaped window (node moves plus
+# 1 % way edits, 64-bucket store, 4 CPUs), driver vs distributed: 101k
+# merged rows 3.6 s vs 12.3 s, driver RSS +78 vs +36 MB; 1.01M rows
+# 26.8 s vs 81.1 s, driver RSS +466 vs +227 MB, process-tree peak 3.0
+# vs 4.1 GB. Larger windows were not measured and stay distributed.
+DRIVER_WINDOW_ROWS = 1_000_000
+
+
+def local_table(ds: ray.data.Dataset, limit: int | None = None,
+                ) -> "pa.Table | None":
+    """The rows of a MATERIALIZED Dataset of at most `limit` rows (None:
+    any count) as one driver table, else None. A materialized Dataset
+    knows its row count and holds its block refs, so this starts no
+    Ray Data execution; a lazy Dataset returns None instead of
+    executing."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return None
+    if limit is not None and ds.count() > limit:
+        return None
+    parts = ray.get(ds.to_arrow_refs())
+    # shuffle outputs can carry zero-row, zero-column blocks
+    parts = [t for t in parts if t.num_rows] or parts[:1]
+    return pa.concat_tables(parts) if parts else None
 
 
 class KeySet:

@@ -39,17 +39,6 @@ def add_deleted_flag(batch: pa.Table) -> pa.Table:
     return batch.append_column("deleted", pc.equal(batch["op"], "delete"))
 
 
-def _best_per_key(df: pd.DataFrame) -> pd.DataFrame:
-    """Keep the winning row per (kind, id): max (version, deleted, ts) —
-    exactly the reference comparator's ordering, reversed."""
-    df = df.sort_values(
-        ["kind", "id", "version", "deleted", "ts"],
-        ascending=[True, True, False, False, False],
-        kind="mergesort",
-    )
-    return df.drop_duplicates(subset=["kind", "id"], keep="first")
-
-
 def _best_per_key_table(t: pa.Table) -> pa.Table:
     """Arrow-native winner pick per (kind, id): one `sort_indices`
     comparator sort + a vectorized first-per-key mask — no pandas
@@ -74,33 +63,49 @@ def _best_per_key_table(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(first))
 
 
-def merge_latest_wins(changes: ray.data.Dataset) -> ray.data.Dataset:
-    """Many change-file rows -> one latest-wins row per (kind, id).
+def _combine(batch: pa.Table) -> pa.Table:
+    """Winner per (kind, id) within one batch (adds `deleted`)."""
+    if batch.num_rows == 0:
+        return batch
+    if "deleted" not in batch.column_names:
+        batch = add_deleted_flag(batch)
+    return _best_per_key_table(batch)
 
-    Two-phase: (1) stateless per-batch combiner dedups inside each
-    block (no shuffle), (2) hash `groupby(kind, id)` over the reduced
-    rows picks the global winner. Phase 1 bounds the shuffle volume by
-    (#distinct keys per block), not (#rows).
+
+def merge_latest_wins(changes: ray.data.Dataset) -> ray.data.Dataset:
+    """Many change-file rows -> one latest-wins row per (kind, id);
+    extra input columns (e.g. the fetch's `seq`) ride along with the
+    winning row.
+
+    A materialized input of at most `closure.DRIVER_WINDOW_ROWS` rows
+    — every minutely window, since `replication.fetch_changes` hands
+    one over — is merged on the driver by the winner kernel alone: no
+    Ray Data execution. Anything else runs two phases: (1) a
+    stateless per-batch combiner dedups inside each block (no
+    shuffle), (2) a hash partition on (kind, id) picks the global
+    winner with the same kernel. Phase 1 bounds the shuffle volume by
+    (#distinct keys per block), not (#rows). Both raise
+    `EmptyDiffError` on an element-free input.
     """
+    from oluray.stages import closure
+
+    t = closure.local_table(changes, closure.DRIVER_WINDOW_ROWS)
+    if t is not None:
+        if t.num_rows == 0:
+            raise EmptyDiffError("change set is empty (no elements in diff)")
+        return ray.data.from_arrow(_combine(t))
     # cheap emptiness probe: limit(1) executes only until a first row
     # exists — the r1 `changes.count()` forced a full extra execution
     # of the upstream DAG (VERDICT r1 item 9)
     if changes.limit(1).count() == 0:
         raise EmptyDiffError("change set is empty (no elements in diff)")
 
-    def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        if "deleted" not in batch.column_names:
-            batch = add_deleted_flag(batch)
-        return _best_per_key_table(batch)
-
-    combined = changes.map_batches(combine, batch_format="pyarrow",
+    combined = changes.map_batches(_combine, batch_format="pyarrow",
                                    batch_size=65536)
 
     # hash-partitioned winner pick (arrow-schema-preserving): NOT a
     # per-(kind,id) map_groups — Ray pays ~2 ms/group (joins.py); one
-    # vectorized _best_per_key per partition instead
+    # vectorized _best_per_key_table per partition instead
     from oluray.stages import joins as _joins
 
     def addpart(t: pa.Table) -> pa.Table:

@@ -66,51 +66,53 @@ SCHEMA = pa.schema(
 )
 
 
-def explode_ways_entries(ways: ray.data.Dataset) -> ray.data.Dataset:
+def way_entries(t: pa.Table) -> pa.Table:
     """ways(id, nd_refs) -> index entries (node ref -> owning way)."""
+    refs = t["nd_refs"].combine_chunks()
+    flat = pc.list_flatten(refs)
+    parents = pc.list_parent_indices(refs)
+    owners = pc.take(t["id"], parents)
+    n = len(flat)
+    return pa.table(
+        {
+            "key": flat.cast(pa.int64()),
+            "ktype": pa.array(np.full(n, "node", object), pa.string()),
+            "owner": owners.cast(pa.int64()),
+            "otype": pa.array(np.full(n, "way", object), pa.string()),
+        },
+        schema=SCHEMA,
+    )
 
-    def fn(t: pa.Table) -> pa.Table:
-        refs = t["nd_refs"].combine_chunks()
-        flat = pc.list_flatten(refs)
-        parents = pc.list_parent_indices(refs)
-        owners = pc.take(t["id"], parents)
-        n = len(flat)
-        return pa.table(
-            {
-                "key": flat.cast(pa.int64()),
-                "ktype": pa.array(np.full(n, "node", object), pa.string()),
-                "owner": owners.cast(pa.int64()),
-                "otype": pa.array(np.full(n, "way", object), pa.string()),
-            },
-            schema=SCHEMA,
-        )
 
+def relation_entries(t: pa.Table) -> pa.Table:
+    """relations(id, members) -> entries (member ref -> owning rel)."""
+    mem = t["members"].combine_chunks()
+    flat = pc.list_flatten(mem)
+    parents = pc.list_parent_indices(mem)
+    owners = pc.take(t["id"], parents)
+    n = len(flat)
+    return pa.table(
+        {
+            "key": flat.field("ref").cast(pa.int64()),
+            "ktype": flat.field("type").cast(pa.string()),
+            "owner": owners.cast(pa.int64()),
+            "otype": pa.array(np.full(n, "relation", object), pa.string()),
+        },
+        schema=SCHEMA,
+    )
+
+
+def explode_ways_entries(ways: ray.data.Dataset) -> ray.data.Dataset:
+    """`way_entries` over a Dataset."""
     return ways.select_columns(["id", "nd_refs"]).map_batches(
-        fn, batch_format="pyarrow"
+        way_entries, batch_format="pyarrow"
     )
 
 
 def explode_relations_entries(relations: ray.data.Dataset) -> ray.data.Dataset:
-    """relations(id, members) -> entries (member ref -> owning rel)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        mem = t["members"].combine_chunks()
-        flat = pc.list_flatten(mem)
-        parents = pc.list_parent_indices(mem)
-        owners = pc.take(t["id"], parents)
-        n = len(flat)
-        return pa.table(
-            {
-                "key": flat.field("ref").cast(pa.int64()),
-                "ktype": flat.field("type").cast(pa.string()),
-                "owner": owners.cast(pa.int64()),
-                "otype": pa.array(np.full(n, "relation", object), pa.string()),
-            },
-            schema=SCHEMA,
-        )
-
+    """`relation_entries` over a Dataset."""
     return relations.select_columns(["id", "members"]).map_batches(
-        fn, batch_format="pyarrow"
+        relation_entries, batch_format="pyarrow"
     )
 
 
@@ -319,22 +321,28 @@ class RefIndex:
     def stage_window(
         self, window_id: str,
         changed_owners: dict[str, np.ndarray],
-        old_entries: ray.data.Dataset,
-        new_entries: ray.data.Dataset,
+        old_entries: "pa.Table | ray.data.Dataset",
+        new_entries: "pa.Table | ray.data.Dataset",
     ) -> str:
         """Persist a window's index mutations BEFORE the snapshot
         store mutates (the old entries are only derivable from the
         pre-update snapshot). `changed_owners` maps otype -> owner id
         array (create+modify+delete); `old_entries`/`new_entries` are
-        SCHEMA-shaped Datasets (old = exploded pre-update rows of the
-        changed owners; new = exploded payload rows). Staging is
-        atomic via a `_done` marker; re-staging overwrites."""
+        SCHEMA-shaped (old = exploded pre-update rows of the changed
+        owners; new = exploded payload rows): driver `pa.Table`s are
+        written as one parquet file each, Datasets by a distributed
+        write. Staging is atomic via a `_done` marker; re-staging
+        overwrites."""
         sd = self.stage_dir(window_id)
         if os.path.exists(sd):
             shutil.rmtree(sd)
         os.makedirs(sd)
-        old_entries.write_parquet(os.path.join(sd, "old"))
-        new_entries.write_parquet(os.path.join(sd, "new"))
+        for sub, entries in (("old", old_entries), ("new", new_entries)):
+            if isinstance(entries, pa.Table):
+                os.makedirs(os.path.join(sd, sub))
+                pq.write_table(entries, os.path.join(sd, sub, "part-0.parquet"))
+            else:
+                entries.write_parquet(os.path.join(sd, sub))
         with open(os.path.join(sd, "owners.json"), "w") as f:
             json.dump({k: np.asarray(v, dtype=np.int64).tolist()
                        for k, v in changed_owners.items()}, f)

@@ -71,8 +71,7 @@ class StoreWindows:
         as one window; the geo delta lands in `<store root>.geo`.
         Returns (the body's result, `apply_update`'s output), the
         output's Datasets materialized before the store commits.
-        `apply_kw` reaches `apply_update` only (e.g. `broadcast_limit`,
-        `area_res`)."""
+        `apply_kw` reaches `apply_update` only (e.g. `broadcast_limit`)."""
         from oluray.pipelines import stream
         from oluray.pipelines import update as upd
         from oluray.stages.diff import merge_latest_wins
@@ -82,7 +81,7 @@ class StoreWindows:
 
         def spy(*a, **kw):
             out = real(*a, **kw, **(apply_kw or {}))
-            for k in ("geo_delta", "area_cover", "hull_delta", "counts"):
+            for k in ("geo_delta", "counts"):
                 out[k] = out[k].materialize()
             seen.update(out)
             return out
@@ -94,6 +93,23 @@ class StoreWindows:
                 **body_kw,
             )
         return res, seen
+
+
+    @staticmethod
+    def contents(store, idx) -> dict:
+        """Every store kind's rows and the index entries as sorted
+        Python rows, for exact comparison."""
+        def rows(ds, *keys):
+            t = pa.concat_tables([
+                pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch)
+                else b for b in ds.iter_batches(batch_format="pyarrow")
+            ])
+            return t.sort_by([(k, "ascending") for k in keys]).to_pylist()
+
+        out = {k: rows(store.read(k), "id")
+               for k in ("nodes", "ways", "relations")}
+        out["index"] = rows(idx.read(), "key", "ktype", "owner", "otype")
+        return out
 
 
 def _dataset(t):

@@ -59,6 +59,31 @@ def test_empty_diff_raises():
         diff.merge_latest_wins(ray.data.from_arrow(empty))
 
 
+def test_driver_merge_matches_shuffle_merge():
+    """An in-memory input merges on the driver, a lazy one through the
+    hash shuffle: same winners, same columns; both reject an empty
+    diff."""
+    tbl = fixtures.make_changes(25, seed=42)
+
+    def rows(ds):
+        t = pa.concat_tables(
+            [pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
+             for b in ds.iter_batches(batch_format="pyarrow")])
+        return t.sort_by([("kind", "ascending"), ("id", "ascending")])
+
+    def lazy(t):
+        return ray.data.from_arrow(t).map_batches(lambda b: b,
+                                                  batch_format="pyarrow")
+
+    drv = rows(diff.merge_latest_wins(ray.data.from_arrow(tbl)))
+    shuf = rows(diff.merge_latest_wins(lazy(tbl)))
+    assert drv.num_rows > 0
+    assert sorted(drv.column_names) == sorted(shuf.column_names)
+    assert drv.to_pylist() == shuf.select(drv.column_names).to_pylist()
+    with pytest.raises(diff.EmptyDiffError):
+        diff.merge_latest_wins(lazy(tbl.slice(0, 0)))
+
+
 def test_classify_counts():
     tbl = fixtures.make_changes(12, seed=42)
     counts = diff.classify_counts(ray.data.from_arrow(tbl)).to_pandas()

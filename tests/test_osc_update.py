@@ -257,9 +257,11 @@ def test_apply_update_end_to_end(store_windows):
 
 
 def test_apply_update_shuffle_path_matches_broadcast(store_windows):
-    """broadcast_limit=0 forces EVERY membership set through the
-    hash-partitioned semi-join path (the 100 TB backfill shape); the
-    result must be identical to the broadcast-path run."""
+    """broadcast_limit=0 runs the distributed composition with EVERY
+    membership set through the hash-partitioned semi-join path (the
+    100 TB backfill shape); the result — delta, impacted sets, counts,
+    final store and index — must be identical to the driver
+    composition's."""
     nodes, ways, rels = fixtures.make_snapshot(120, seed=7)
     changes = fixtures.make_changes(20, seed=7)
     store_bc, idx_bc = store_windows.store(nodes, ways, rels)
@@ -276,17 +278,65 @@ def test_apply_update_shuffle_path_matches_broadcast(store_windows):
         assert a == b, key
     ga = bc["geo_delta"].to_pandas().sort_values(["kind", "id"]).reset_index(drop=True)
     gb = sh["geo_delta"].to_pandas().sort_values(["kind", "id"]).reset_index(drop=True)
-    import pandas as pd
-
     pd.testing.assert_frame_equal(ga, gb)
+    ca = bc["counts"].to_pandas().sort_values(["op", "kind"]).reset_index(drop=True)
+    cb = sh["counts"].to_pandas().sort_values(["op", "kind"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(ca, cb)
+    assert store_windows.contents(store_bc, idx_bc) == \
+        store_windows.contents(store_sh, idx_sh)
 
 
-def test_multipolygon_area_cover_and_envelope(store_windows):
-    """A touched multipolygon relation's outer ring is assembled from
-    member ways (one stored in reverse) and covered with cells; its
-    geo_delta row carries the full member-extent envelope."""
-    from oluray.functions import geo
+def _no_node_upsert_window(case, ways):
+    """A window with no created or modified node that still reaches
+    ways or relations: every kernel's output of the node side is empty."""
+    t0 = 1_700_000_000_000
+    if case == "node_delete":  # the deleted node is a way member
+        nid = ways["nd_refs"][0].as_py()[0]
+        rows = [dict(op="delete", kind="node", id=nid, version=2, ts=t0,
+                     payload=fixtures._payload())]
+    elif case == "way_only":
+        rows = [dict(op="modify", kind="way", id=5003, version=2, ts=t0,
+                     payload=fixtures._payload(nd_refs=[1001, 1002, 99_003]))]
+    else:
+        rows = [dict(op="modify", kind="relation", id=7004, version=2, ts=t0,
+                     payload=fixtures._payload(members=[
+                         {"ref": 5001, "type": "way", "role": "outer"},
+                         {"ref": 1003, "type": "node", "role": ""},
+                     ], tags={"type": "multipolygon"}))]
+    return pa.Table.from_pylist(rows, schema=fixtures.CHANGES_SCHEMA)
 
+
+@pytest.mark.parametrize("case", ["node_delete", "way_only", "relation_only"])
+def test_window_without_node_upserts_matches_shuffle_path(store_windows, case):
+    """The driver composition's unions must keep every column's type
+    when the node delta is empty; same result as the distributed one."""
+    nodes, ways, rels = fixtures.make_snapshot(120, seed=7)
+    changes = _no_node_upsert_window(case, ways)
+    store_bc, idx_bc = store_windows.store(nodes, ways, rels)
+    store_sh, idx_sh = store_windows.store(nodes, ways, rels)
+    _, bc = store_windows.apply(store_bc, idx_bc, changes)
+    _, sh = store_windows.apply(store_sh, idx_sh, changes,
+                                apply_kw={"broadcast_limit": 0})
+    sch = bc["geo_delta"].schema()
+    assert sch.types[sch.names.index("kind")] == pa.string()
+    ga = bc["geo_delta"].to_pandas()
+    assert len(ga) > 0 and "node" not in set(ga["kind"])
+    assert bc["impacted_ways"].tolist() == sh["impacted_ways"].tolist()
+    assert bc["impacted_relations"].tolist() == sh["impacted_relations"].tolist()
+    ga = ga.sort_values(["kind", "id"]).reset_index(drop=True)
+    gb = sh["geo_delta"].to_pandas().sort_values(["kind", "id"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(ga, gb)
+    ca = bc["counts"].to_pandas().sort_values(["op", "kind"]).reset_index(drop=True)
+    cb = sh["counts"].to_pandas().sort_values(["op", "kind"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(ca, cb)
+    assert store_windows.contents(store_bc, idx_bc) == \
+        store_windows.contents(store_sh, idx_sh)
+
+
+def _square_multipolygon():
+    """A 10x10-degree square multipolygon relation (71) of two outer
+    ways, one stored in reverse, and a window modifying its corner
+    node 101: (nodes, ways, relations, changes) Datasets."""
     coords = {101: (10.0, 10.0), 102: (20.0, 10.0), 103: (20.0, 20.0),
               104: (10.0, 20.0)}
     nodes = ray.data.from_arrow(pa.Table.from_pylist(
@@ -308,10 +358,28 @@ def test_multipolygon_area_cover_and_envelope(store_windows):
         [dict(op="modify", kind="node", id=101, version=2, ts=1000,
               payload=fixtures._payload(lon=10.0, lat=10.0))],
         schema=fixtures.CHANGES_SCHEMA))
+    return nodes, ways, rels, changes
+
+
+def _derived(store, idx, changes, **kw):
+    """`update.derived_geometry` of one merged window over `store`."""
+    from oluray.pipelines import update as upd
+    from oluray.stages.diff import merge_latest_wins
+
+    merged = merge_latest_wins(changes).materialize()
+    return upd.derived_geometry(merged, store, idx, **kw)
+
+
+def test_multipolygon_area_cover_and_envelope(store_windows):
+    """A touched multipolygon relation's outer ring is assembled from
+    member ways (one stored in reverse) and covered with cells; its
+    geo_delta row carries the full member-extent envelope."""
+    from oluray.functions import geo
+
+    nodes, ways, rels, changes = _square_multipolygon()
     store, idx = store_windows.store(nodes, ways, rels)
-    _, out = store_windows.apply(store, idx, changes,
-                                 apply_kw={"area_res": 6})
-    cover = out["area_cover"].to_pandas()
+    cover = _derived(store, idx, changes, area_res=6)["area_cover"].to_pandas()
+    _, out = store_windows.apply(store, idx, changes)
     assert set(cover["rel_id"]) == {71}
     got_cells = set(cover["cell"])
     # O(n*m) oracle: every interior sample point's cell must be
@@ -330,6 +398,24 @@ def test_multipolygon_area_cover_and_envelope(store_windows):
     wrow = gd[(gd["kind"] == "way") & (gd["id"] == 51)].iloc[0]
     assert (wrow["min_lon"], wrow["max_lon"]) == (10.0, 20.0)
     assert (wrow["min_lat"], wrow["max_lat"]) == (10.0, 20.0)
+
+
+def test_derived_geometry_shuffle_path_matches_driver(store_windows):
+    """hull_delta and area_cover of the assembled-ring window agree
+    exactly between the driver and the distributed composition."""
+    nodes, ways, rels, changes = _square_multipolygon()
+    store, idx = store_windows.store(nodes, ways, rels)
+    drv = _derived(store, idx, changes, area_res=6)
+    dist = _derived(store, idx, changes, area_res=6, broadcast_limit=0)
+    for key, order in (("hull_delta", ["kind", "id"]),
+                       ("area_cover", ["rel_id", "ring_id", "cell"])):
+        a = drv[key].to_pandas().sort_values(order).reset_index(drop=True)
+        b = dist[key].to_pandas().sort_values(order).reset_index(drop=True)
+        assert len(a) > 0, key
+        assert list(a.columns) == list(b.columns), key
+        for c in a.columns:
+            assert [np.asarray(v).tolist() for v in a[c]] == \
+                [np.asarray(v).tolist() for v in b[c]], (key, c)
 
 
 def test_hull_delta_way_and_relation(store_windows):
@@ -358,8 +444,8 @@ def test_hull_delta_way_and_relation(store_windows):
               payload=fixtures._payload(lon=10.0, lat=10.0))],
         schema=fixtures.CHANGES_SCHEMA))
     store, idx = store_windows.store(nodes, ways, rels)
-    _, out = store_windows.apply(store, idx, changes)
-    hd = out["hull_delta"].to_pandas().set_index(["kind", "id"])
+    hd = _derived(store, idx, changes)["hull_delta"].to_pandas()
+    hd = hd.set_index(["kind", "id"])
     w = hd.loc[("way", 51)]
     assert set(zip(w["hull_lon"], w["hull_lat"])) == {
         (10.0, 10.0), (20.0, 10.0), (15.0, 14.0)

@@ -128,7 +128,7 @@ def test_retry_policy(tmp_path):
 
 def test_fetch_changes_distributed_parse(tmp_path):
     client = rep.ReplicationClient(rep.LocalDirTransport(_mirror(tmp_path)))
-    ds = rep.fetch_changes(client, 4, 7, files_per_task=2, concurrency=2)
+    ds = rep.fetch_changes(client, 4, 7)
     df = ds.to_pandas()
     assert sorted(df["seq"].unique()) == [4, 5, 6, 7]
     assert sorted(df["id"]) == [104, 105, 106, 107]
@@ -136,6 +136,22 @@ def test_fetch_changes_distributed_parse(tmp_path):
     # empty range short-circuits with the right schema
     empty = rep.fetch_changes(client, 9, 8)
     assert empty.count() == 0 and "seq" in empty.schema().names
+
+
+def test_fetch_changes_retries_then_raises(tmp_path):
+    """A change file that fails once is retried inside the client;
+    without a retry budget `fetch_changes` itself raises FetchError."""
+    root = _mirror(tmp_path)
+    ok = rep.ReplicationClient(
+        _Flaky(rep.LocalDirTransport(root), fail_n=1), retries=1, backoff_s=0.0
+    )
+    df = rep.fetch_changes(ok, 4, 7).to_pandas()
+    assert sorted(df["id"]) == [104, 105, 106, 107]
+    once = rep.ReplicationClient(
+        _Flaky(rep.LocalDirTransport(root), fail_n=1), retries=0
+    )
+    with pytest.raises(rep.FetchError, match="exhausted"):
+        rep.fetch_changes(once, 4, 7)
 
 
 def test_decide_start_sequence(tmp_path):
@@ -165,7 +181,6 @@ def test_run_replication_windows_and_resume(tmp_path, store_windows):
 
     res = stream.run_replication_windows_store(
         store, client, out_dir, sequence=3, window_size=3, ref_index=idx,
-        concurrency=2,
     )
     assert [wi["window_id"] for wi in res["windows"]] == [
         "w000000003_000000005", "w000000006_000000008",
@@ -194,7 +209,6 @@ def test_run_replication_windows_and_resume(tmp_path, store_windows):
     # re-run same windows: all partitions and store commits skipped
     res2 = stream.run_replication_windows_store(
         store, client, out_dir, sequence=3, window_size=3, ref_index=idx,
-        concurrency=2,
     )
     assert [wi["rows"] for wi in res2["windows"]] == [
         rows1[wi["window_id"]] for wi in res2["windows"]
@@ -233,7 +247,7 @@ def test_run_replication_windows_quiet_window(tmp_path, store_windows):
     store, idx = store_windows.store(*fixtures.make_snapshot(60, seed=11))
     res = stream.run_replication_windows_store(
         store, client, str(tmp_path / "geo"), sequence=3, window_size=1,
-        ref_index=idx, concurrency=2,
+        ref_index=idx,
     )
     assert len(res["windows"]) == 2
     assert res["windows"][0]["rows"] > 0

@@ -434,9 +434,6 @@ def test_indexed_loop_crash_between_store_and_index_apply(tmp_path):
     applied: the durable staging (written pre-mutation) must let the
     re-run converge — the index ends exactly equal to a rebuild."""
     from oluray.pipelines import stream
-    from oluray.pipelines.update import (
-        _keys_of, _payload_nodes, _payload_relations, _payload_ways,
-    )
     from oluray.stages.diff import merge_latest_wins
     from oluray.state.refindex import RefIndex
 
@@ -460,16 +457,7 @@ def test_indexed_loop_crash_between_store_and_index_apply(tmp_path):
     wid = "w000000003_000000004"
     changes = rep.fetch_changes(client, 3, 4)
     merged = merge_latest_wins(changes.drop_columns(["seq"])).materialize()
-    stream._stage_ref_index(idx, store, merged, wid)
-    all_ops = ("create", "modify", "delete")
-    store.apply_window(
-        wid,
-        {"nodes": (_keys_of(merged, "node", all_ops),
-                   _payload_nodes(merged)),
-         "ways": (_keys_of(merged, "way", all_ops), _payload_ways(merged)),
-         "relations": (_keys_of(merged, "relation", all_ops),
-                       _payload_relations(merged))},
-    )
+    stream._commit_store(store, idx, merged, wid)
     assert idx.window_manifest(wid) is None  # crashed before idx apply
 
     # full re-run from scratch
