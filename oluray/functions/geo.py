@@ -9,6 +9,8 @@ spatialjoin) with in-engine, vectorized kernels:
   2^r x 2^r cells; cell ids pack (res, y, x) into one int64 with pure
   arithmetic so the encoding is reproducible in ANSI SQL
   (``res*2^58 + y*2^29 + x``);
+- a **raster polygon cover** (:func:`polygon_covers`), the cell-cover
+  prefilter: one numpy pass over all rings' edges, after Raptor;
 - **ray-casting point-in-polygon** (even-odd rule), the exact-refine
   step behind the cell-cover prefilter;
 - **haversine** great-circle distance;
@@ -265,9 +267,9 @@ def polygon_bbox(ring_lon: np.ndarray, ring_lat: np.ndarray) -> tuple[float, flo
 def bbox_cover(
     lon0: float, lat0: float, lon1: float, lat1: float, res: int
 ) -> np.ndarray:
-    """Cell ids of every cell at `res` intersecting the bbox (superset
-    prefilter for the exact PIP refine). No antimeridian crossing
-    (v0 contract — documented in FIXTURES.md §4)."""
+    """Cell ids of every cell at `res` intersecting the bbox: the
+    outer bound of a :func:`polygon_covers` cover. No antimeridian
+    crossing (v0 contract — documented in FIXTURES.md §4)."""
     n = 1 << res
     x0 = int(np.clip(np.floor((lon0 + 180.0) / 360.0 * n), 0, n - 1))
     x1 = int(np.clip(np.floor((lon1 + 180.0) / 360.0 * n), 0, n - 1))
@@ -284,6 +286,8 @@ def bbox_cover(
 
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
+    """Scalar orientation-sign crossing test of two segments; the
+    reference the tests check the vectorized kernels against."""
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
@@ -294,46 +298,148 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def polygon_cover(ring_lon: np.ndarray, ring_lat: np.ndarray, res: int) -> np.ndarray:
-    """Cells at `res` intersecting the polygon: bbox cover refined by
-    (corner-in-poly | vertex-in-cell | edge-crossing). A strict
-    superset of cells containing any interior point — safe prefilter.
+# A crossing this close to a grid line (in grid units) counts as on it:
+# 2^(res-36) grid units is ~5e-9 degrees of longitude at every res,
+# far below the 1e-7-degree coordinate quantum, and far above the
+# rounding error of a crossing computed in grid units (~2^(res-50)).
+_COVER_EPS_LOG2 = -36
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every integer k in [lo[i], hi[i]): the CSR expansion
+    of per-row integer ranges (empty where hi <= lo)."""
+    cnt = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+    k = np.arange(len(i), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    return i, k
+
+
+def _crossings(lo, hi, shift, a1, b1, a2, b2):
+    """Where edge e, (a1, b1)-(a2, b2), meets the line a = k + shift
+    for k in [lo[e], hi[e]): (edge, k, b at the crossing)."""
+    e, k = _ranges(lo, hi)
+    a = k + shift
+    b = b1[e] + (a - a1[e]) * (b2[e] - b1[e]) / (a2[e] - a1[e])
+    return e, k, b
+
+
+def polygon_covers(
+    ring_lon: np.ndarray, ring_lat: np.ndarray, ring_offs: np.ndarray, res: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell cover at `res` of every ring of a flattened polygon table
+    (ring i is vertices ring_offs[i]:ring_offs[i+1], closing edge
+    implied; a repeated closing vertex is allowed). Returns (owner,
+    cell): one row per distinct (ring, cell) pair, sorted by cell,
+    then owner.
+
+    Contract, for each ring:
+    - every cell holding a point of the closed polygon, as
+      :func:`cell_encode` assigns points to cells, is in the cover,
+      so every cell holding an interior point is;
+    - every cell in the cover meets the closed polygon up to epsilon
+      (below), and lies in the polygon's :func:`bbox_cover`.
+
+    One raster pass over all edges at once, in grid units
+    (gx = (lon+180)/360 * 2^res, as :func:`cell_encode`), after
+    Raptor's vector-raster join: the union of
+    - endpoint cells: the cell of each vertex;
+    - boundary cells: where an edge crosses or touches a vertical or
+      horizontal grid line, the cells on both sides of the line. A
+      crossing within epsilon = 2^(res-36) grid units (~5e-9 degrees)
+      of the perpendicular grid line emits the cells on both sides of
+      that line too: all four cells around a grid corner the boundary
+      passes through, so rounding cannot drop one;
+    - interior cells: per ring and cell row, the edges' crossings of
+      the row's centre line under the half-open even-odd rule, sorted,
+      and the cell centres between each pair of crossings filled.
+    Cells are clipped to the ring's bbox cells, which are clipped to
+    [0, 2^res - 1] as in :func:`cell_encode`.
     """
+    if not 0 <= res <= MAX_RES:
+        raise ValueError(f"res must be in [0, {MAX_RES}], got {res}")
+    n = float(1 << res)
+    eps = 2.0 ** (res + _COVER_EPS_LOG2)
+    gx = ((np.asarray(ring_lon, dtype=np.float64) + 180.0) / 360.0) * n
+    gy = ((np.asarray(ring_lat, dtype=np.float64) + 90.0) / 180.0) * n
+    if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
+        raise ValueError("ring coordinates must be finite")
+    offs = np.asarray(ring_offs, dtype=np.int64)
+    sizes = np.diff(offs)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    # each vertex's successor on its ring (wrap at the ring's end)
+    starts = offs[:-1][sizes > 0]
+    nxt = np.arange(1, len(gx) + 1, dtype=np.int64)
+    nxt[offs[1:][sizes > 0] - 1] = starts
+    x1, y1, x2, y2 = gx, gy, gx[nxt], gy[nxt]
+
+    # bbox cells per ring, exactly as bbox_cover computes them
+    def bbox(g):
+        lo = np.zeros(len(sizes), dtype=np.int64)
+        hi = np.zeros(len(sizes), dtype=np.int64)
+        if len(starts):
+            lo[sizes > 0] = np.clip(np.floor(np.minimum.reduceat(g, starts)), 0, n - 1)
+            hi[sizes > 0] = np.clip(np.floor(np.maximum.reduceat(g, starts)), 0, n - 1)
+        return lo, hi
+
+    bx0, bx1 = bbox(gx)
+    by0, by1 = bbox(gy)
+
+    parts_o, parts_x, parts_y = [owner], [np.floor(gx)], [np.floor(gy)]
+
+    def boundary(a1, b1, a2, b2, flip):
+        # grid lines a = k with min(a) <= k <= max(a); no line is
+        # crossed by an edge parallel to it
+        lo = np.ceil(np.minimum(a1, a2)).astype(np.int64)
+        hi = np.floor(np.maximum(a1, a2)).astype(np.int64) + 1
+        hi[a1 == a2] = lo[a1 == a2]
+        e, k, b = _crossings(lo, hi, 0.0, a1, b1, a2, b2)
+        for da in (k - 1, k):
+            for db in (np.floor(b - eps), np.floor(b + eps)):
+                parts_o.append(owner[e])
+                parts_x.append(db if flip else da)
+                parts_y.append(da if flip else db)
+
+    boundary(x1, y1, x2, y2, flip=False)
+    boundary(y1, x1, y2, x2, flip=True)
+    # interior: row j's centre line is y = j + 0.5; a vertex lies
+    # above it iff j < t = ceil(y - 0.5). Deciding per vertex keeps the
+    # crossing count of every (ring, row) even, whatever the rounding.
+    t = np.ceil(gy - 0.5).astype(np.int64)
+    t2 = t[nxt]
+    e, j, xc = _crossings(np.minimum(t, t2), np.maximum(t, t2), 0.5, y1, x1, y2, x2)
+    order = np.lexsort((xc, j, owner[e]))
+    e, j, xc = e[order], j[order], xc[order]
+    # consecutive crossings pair up within a (ring, row): fill the cell
+    # centres i + 0.5 in [left, right)
+    r, i = _ranges(np.ceil(xc[0::2] - 0.5).astype(np.int64),
+                   np.ceil(xc[1::2] - 0.5).astype(np.int64))
+    parts_o.append(owner[e[0::2]][r])
+    parts_x.append(i)
+    parts_y.append(j[0::2][r])
+
+    own = np.concatenate(parts_o)
+    x = np.clip(np.concatenate(parts_x), bx0[own], bx1[own]).astype(np.int64)
+    y = np.clip(np.concatenate(parts_y), by0[own], by1[own]).astype(np.int64)
+    # dedupe on one int64 key: the cell's rank among distinct cells,
+    # then the owner
+    cells, rank = np.unique(
+        np.int64(res) * np.int64(RES_SHIFT) + y * np.int64(Y_SHIFT) + x,
+        return_inverse=True,
+    )
+    nr = max(len(sizes), 1)
+    key = np.unique(rank * nr + own)
+    return key % nr, cells[key // nr]
+
+
+def polygon_cover(ring_lon: np.ndarray, ring_lat: np.ndarray, res: int) -> np.ndarray:
+    """Sorted cells at `res` covering one polygon ring: the one-ring
+    case of :func:`polygon_covers`, with the same contract (every cell
+    holding a point of the closed polygon; only cells meeting it, up
+    to epsilon, within its bbox cover) — a safe prefilter for the
+    exact :func:`point_in_polygon` refine."""
     rx = np.asarray(ring_lon, dtype=np.float64)
-    ry = np.asarray(ring_lat, dtype=np.float64)
-    cells = bbox_cover(*polygon_bbox(rx, ry), res)
-    if len(cells) <= 4:
-        return cells
-    lon0, lat0, lon1, lat1 = cell_bounds(cells)
-    # corner of cell inside polygon?
-    keep = np.zeros(len(cells), dtype=bool)
-    for cx, cy in ((lon0, lat0), (lon0, lat1), (lon1, lat0), (lon1, lat1)):
-        keep |= point_in_polygon(cx, cy, rx, ry)
-    # polygon vertex inside cell?
-    for vx, vy in zip(rx, ry):
-        keep |= (lon0 <= vx) & (vx < lon1) & (lat0 <= vy) & (vy < lat1)
-    # edge crossing (only for still-unresolved cells; python loop over few)
-    unresolved = np.nonzero(~keep)[0]
-    nv = len(rx)
-    for idx in unresolved:
-        corners = [
-            (lon0[idx], lat0[idx]),
-            (lon1[idx], lat0[idx]),
-            (lon1[idx], lat1[idx]),
-            (lon0[idx], lat1[idx]),
-        ]
-        hit = False
-        for i in range(nv):
-            a = (rx[i], ry[i])
-            b = (rx[(i + 1) % nv], ry[(i + 1) % nv])
-            for j in range(4):
-                if _segments_intersect(a, b, corners[j], corners[(j + 1) % 4]):
-                    hit = True
-                    break
-            if hit:
-                break
-        keep[idx] = hit
-    return cells[keep]
+    _, cells = polygon_covers(rx, ring_lat, np.array([0, len(rx)]), res)
+    return cells
 
 
 # ---------------------------------------------------------------------------

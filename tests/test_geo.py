@@ -6,6 +6,7 @@ tests -> here exact-value SQL-parity tests)."""
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pytest
 
 from oluray.functions import geo
@@ -109,6 +110,187 @@ def test_polygon_cover_superset():
             cover = set(geo.polygon_cover(rx, ry, res).tolist())
             pcells = geo.cell_encode(lon[ins], lat[ins], res)
             assert set(pcells.tolist()) <= cover
+
+
+def oracle_cover(ring_lon, ring_lat, res):
+    """Per-cell cover refine, the body `geo.polygon_cover` had before
+    its raster kernel (minus its shortcut that returned a bbox of at
+    most 4 cells whole): a bbox cell is kept if one of its corners is
+    inside the polygon, a vertex is in it, or an edge crosses one of
+    its sides."""
+    rx = np.asarray(ring_lon, dtype=np.float64)
+    ry = np.asarray(ring_lat, dtype=np.float64)
+    cells = geo.bbox_cover(*geo.polygon_bbox(rx, ry), res)
+    lon0, lat0, lon1, lat1 = geo.cell_bounds(cells)
+    keep = np.zeros(len(cells), dtype=bool)
+    for cx, cy in ((lon0, lat0), (lon0, lat1), (lon1, lat0), (lon1, lat1)):
+        keep |= geo.point_in_polygon(cx, cy, rx, ry)
+    for vx, vy in zip(rx, ry):
+        keep |= (lon0 <= vx) & (vx < lon1) & (lat0 <= vy) & (vy < lat1)
+    nv = len(rx)
+    for idx in np.nonzero(~keep)[0]:
+        corners = [(lon0[idx], lat0[idx]), (lon1[idx], lat0[idx]),
+                   (lon1[idx], lat1[idx]), (lon0[idx], lat1[idx])]
+        keep[idx] = any(
+            geo._segments_intersect((rx[i], ry[i]), (rx[(i + 1) % nv], ry[(i + 1) % nv]),
+                                    corners[j], corners[(j + 1) % 4])
+            for i in range(nv) for j in range(4)
+        )
+    return np.sort(cells[keep])
+
+
+def _grid_lon(k, res):
+    return -180.0 + 360.0 * k / (1 << res)
+
+
+def _grid_lat(k, res):
+    return -90.0 + 180.0 * k / (1 << res)
+
+
+def _cover_shapes(res, rng):
+    """(name, lon, lat) rings: random convex and concave, slivers,
+    edges on grid lines, vertices on cell corners, one-cell polygons,
+    closed rings and polygons clamped at the grid's edges."""
+    shapes = []
+    for i in range(12):
+        k = int(rng.integers(3, 9))
+        ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+        rad = rng.uniform(0.3, 1.0, k) * rng.uniform(0.5, 25.0)
+        if i % 3 == 1:  # concave star
+            rad = np.where(np.arange(k) % 2 == 0, rad, rad * 0.35)
+        cx, cy = rng.uniform(-150, 150), rng.uniform(-60, 60)
+        shapes.append((f"random{i}", cx + rad * np.cos(ang), cy + rad * np.sin(ang)))
+    a, b = rng.uniform(-40, 40, 2), rng.uniform(-40, 40, 2)
+    shapes.append(("sliver", np.array([a[0], b[0], b[0] + 1e-7]),
+                   np.array([a[1], b[1], b[1] + 1e-7])))
+    shapes.append(("flat sliver", np.array([a[0], b[0], b[0]]),
+                   np.array([a[1], a[1], a[1] + 1e-9])))
+    k0 = 1 + int(rng.integers(0, 2))
+    k1 = k0 + 2 + int(rng.integers(0, 3))
+    gx = [_grid_lon(k + (1 << res) // 2, res) for k in (k0, k1)]
+    gy = [_grid_lat(k + (1 << res) // 2, res) for k in (k0, k1)]
+    shapes.append(("square on grid lines",
+                   np.array([gx[0], gx[1], gx[1], gx[0]]),
+                   np.array([gy[0], gy[0], gy[1], gy[1]])))
+    shapes.append(("triangle on cell corners",
+                   np.array([gx[0], gx[1], gx[0]]),
+                   np.array([gy[0], gy[1], gy[1]])))
+    mid = _grid_lon((1 << res) // 2 + k0 + 0.5, res), _grid_lat((1 << res) // 2 + k0 + 0.5, res)
+    d = 0.1 * 180.0 / (1 << res)
+    shapes.append(("inside one cell", mid[0] + np.array([-d, d, 0.0]),
+                   mid[1] + np.array([-d, -d, d])))
+    shapes.append(("closed ring", np.array([10.0, 30.0, 25.0, 10.0]),
+                   np.array([-5.0, 2.0, 20.0, -5.0])))
+    shapes.append(("clamped east/north", np.array([170.0, 180.0, 180.0, 165.0]),
+                   np.array([80.0, 75.0, 90.0, 90.0])))
+    shapes.append(("clamped west/south", np.array([-180.0, -170.0, -175.0, -180.0]),
+                   np.array([-90.0, -90.0, -80.0, -70.0])))
+    return shapes
+
+
+def test_polygon_cover_contract_and_oracle():
+    """`polygon_cover` holds the cell of every point of the closed
+    polygon (interior samples, vertices, points along edges), stays in
+    the bbox cover, and equals the per-cell oracle on fixture
+    polygons."""
+    rng = np.random.default_rng(17)
+    for res in range(4, 11):
+        for name, rx, ry in _cover_shapes(res, rng):
+            cover = set(geo.polygon_cover(rx, ry, res).tolist())
+            x0, y0, x1, y1 = geo.polygon_bbox(rx, ry)
+            lon = rng.uniform(x0, x1, 4000)
+            lat = rng.uniform(y0, y1, 4000)
+            ins = geo.point_in_polygon(lon, lat, rx, ry)
+            t = rng.uniform(0, 1, (len(rx), 8))
+            ex = rx[:, None] + t * (np.roll(rx, -1)[:, None] - rx[:, None])
+            ey = ry[:, None] + t * (np.roll(ry, -1)[:, None] - ry[:, None])
+            pts = (np.r_[lon[ins], rx, ex.ravel()], np.r_[lat[ins], ry, ey.ravel()])
+            need = set(geo.cell_encode(*pts, res).tolist())
+            assert need <= cover, (res, name, need - cover)
+            assert cover <= set(geo.bbox_cover(x0, y0, x1, y1, res).tolist()), (res, name)
+    for seed in (1, 2, 3):
+        for span in (10.0, 20.0):
+            polys = fixtures.make_change_polys(12, seed, span_deg=span)
+            for row in polys.to_pylist():
+                rx = np.array([v["lon"] for v in row["ring"]])
+                ry = np.array([v["lat"] for v in row["ring"]])
+                for res in (4, 6, 8):
+                    np.testing.assert_array_equal(
+                        geo.polygon_cover(rx, ry, res), oracle_cover(rx, ry, res),
+                        err_msg=f"seed {seed} span {span} poly {row['poly_id']} res {res}")
+
+
+def test_polygon_cover_grid_corners():
+    """The epsilon rule: where the boundary meets a grid corner (a
+    vertex on it, or an edge through it), all four cells around the
+    corner are in the cover, as far as they lie in the bbox cover —
+    whichever way degrees-to-grid rounding falls."""
+    rng = np.random.default_rng(23)
+    for res in range(4, 11):
+        n = 1 << res
+        for _ in range(6):
+            d = int(rng.integers(2, 6))
+            a = int(rng.integers(0, n - d))
+            b = int(rng.integers(0, n - d))
+            for tri in (((0, 0), (d, d), (0, d)), ((0, 0), (d, 0), (d, d)),
+                        ((0, d), (d, 0), (d, d)), ((0, 0), (d, 0), (0, d))):
+                ix = np.array([a + p[0] for p in tri])
+                iy = np.array([b + p[1] for p in tri])
+                rx, ry = _grid_lon(ix, res), _grid_lat(iy, res)
+                cover = set(geo.polygon_cover(rx, ry, res).tolist())
+                bbox = set(geo.bbox_cover(*geo.polygon_bbox(rx, ry), res).tolist())
+                for i in range(a, a + d + 1):
+                    for j in range(b, b + d + 1):
+                        on_edge = any(
+                            (ix[(e + 1) % 3] - ix[e]) * (j - iy[e])
+                            == (iy[(e + 1) % 3] - iy[e]) * (i - ix[e])
+                            for e in range(3)
+                        )
+                        if not on_edge:
+                            continue
+                        around = {res * geo.RES_SHIFT + y * geo.Y_SHIFT + x
+                                  for x in (i - 1, i) for y in (j - 1, j)}
+                        assert around & bbox <= cover, (res, tri, a, b, i, j)
+
+
+def test_polygon_covers_table_and_degenerate_rings():
+    """The table kernel equals the one-ring cover per ring, pairs sorted
+    by (cell, ring); an empty ring covers nothing; a non-finite
+    coordinate is rejected."""
+    polys = fixtures.make_change_polys(9, 5)
+    rings = [(np.array([v["lon"] for v in r]), np.array([v["lat"] for v in r]))
+             for r in polys["ring"].to_pylist()]
+    rings.insert(2, (np.array([]), np.array([])))  # an empty ring
+    lon = np.concatenate([r[0] for r in rings])
+    lat = np.concatenate([r[1] for r in rings])
+    offs = np.r_[0, np.cumsum([len(r[0]) for r in rings])]
+    owner, cells = geo.polygon_covers(lon, lat, offs, 7)
+    assert (np.diff(cells) >= 0).all()
+    same = cells[1:] == cells[:-1]
+    assert (np.diff(owner)[same] > 0).all()
+    for i, (rx, ry) in enumerate(rings):
+        want = geo.polygon_cover(rx, ry, 7) if len(rx) else np.array([], np.int64)
+        np.testing.assert_array_equal(cells[owner == i], want)
+    with pytest.raises(ValueError, match="finite"):
+        geo.polygon_cover(np.array([0.0, 1.0, np.nan]), np.array([0.0, 0.0, 1.0]), 7)
+
+
+def test_area_cells_matches_oracle_cover():
+    """`update.area_cells` on the square multipolygon (two outer ways,
+    one reversed) gives the oracle cover of the stitched ring."""
+    from oluray.pipelines import update
+
+    coords = {101: (10.0, 10.0), 102: (20.0, 10.0), 103: (20.0, 20.0),
+              104: (10.0, 20.0)}
+    rows = [(71, pos, nid, pos_r, *coords[nid])
+            for pos, way in enumerate(([101, 102, 103], [101, 104, 103]))
+            for pos_r, nid in enumerate(way)]
+    df = pd.DataFrame(rows, columns=["rel_id", "pos", "node_id", "pos_r", "lon", "lat"])
+    for res in (6, 8):
+        got = update.area_cells(df, res)
+        want = oracle_cover([10.0, 20.0, 20.0, 10.0], [10.0, 10.0, 20.0, 20.0], res)
+        assert set(zip(got["rel_id"], got["ring_id"], got["cell"])) == \
+            {(71, 0, c) for c in want.tolist()}
 
 
 def test_haversine_known_values_and_sql(con):

@@ -17,12 +17,9 @@ def _points(n=4000, seed=3):
     return pa.table({"image_id": ids, "lon": lon, "lat": lat})
 
 
-def test_pip_join_matches_bruteforce():
-    pts = _points()
-    polys = fixtures.make_change_polys(8, seed=42, span_deg=40.0)
-    ds = ray.data.from_arrow(pts)
-    got = spatial.pip_join(ds, polys, res=7, concurrency=2).to_pandas()
-    got_pairs = set(zip(got["image_id"], got["poly_id"]))
+def _brute_pairs(pts: pa.Table, polys: pa.Table) -> set:
+    """(image_id, poly_id) of every containment, by `point_in_polygon`
+    over all points and polygons."""
     lon = pts["lon"].to_numpy()
     lat = pts["lat"].to_numpy()
     ids = pts["image_id"].to_pylist()
@@ -33,6 +30,16 @@ def test_pip_join_matches_bruteforce():
         ins = geo.point_in_polygon(lon, lat, rx, ry)
         for i in np.nonzero(ins)[0]:
             expected.add((ids[i], row["poly_id"]))
+    return expected
+
+
+def test_pip_join_matches_bruteforce():
+    pts = _points()
+    polys = fixtures.make_change_polys(8, seed=42, span_deg=40.0)
+    ds = ray.data.from_arrow(pts)
+    got = spatial.pip_join(ds, polys, res=7, concurrency=2).to_pandas()
+    got_pairs = set(zip(got["image_id"], got["poly_id"]))
+    expected = _brute_pairs(pts, polys)
     assert got_pairs == expected
     assert len(expected) > 0
     # `concurrency` only caps the number of tasks: same rows without it
@@ -48,6 +55,39 @@ def test_pip_join_empty_polygon_no_rows():
     ds = ray.data.from_arrow(pts)
     got = spatial.pip_join(ds, polys, res=7, concurrency=1).to_pandas()
     assert 3 not in set(got["poly_id"])  # empty-join tolerated (no error)
+
+
+def test_polygon_index_matches_oracle_csr():
+    """The raster-built index equals the CSR of per-polygon oracle
+    covers (polygons in table order within a cell), with a tiny
+    mid-ocean polygon among normal ones; the join rows match brute
+    force at each resolution; a zero-row polygon table joins to 0
+    rows."""
+    from test_geo import oracle_cover
+
+    pts = _points()
+    polys = fixtures.make_change_polys(8, seed=42, span_deg=20.0)  # poly 3 is tiny
+    ds = ray.data.from_arrow(pts)
+    expected = _brute_pairs(pts, polys)
+    assert expected
+    rings = polys["ring"].to_pylist()
+    for res in (5, 7, 8):
+        covers = [oracle_cover([v["lon"] for v in r], [v["lat"] for v in r], res)
+                  for r in rings]
+        cells = np.concatenate(covers)
+        owner = np.repeat(np.arange(len(covers)), [len(c) for c in covers])
+        order = np.argsort(cells, kind="stable")
+        want_cells, starts = np.unique(cells[order], return_index=True)
+        index = spatial.PolygonIndex(polys, res)
+        np.testing.assert_array_equal(index.idx_cells, want_cells)
+        np.testing.assert_array_equal(index.idx_offs, np.append(starts, len(cells)))
+        np.testing.assert_array_equal(index.idx_polys, owner[order])
+        got = spatial.pip_join(ds, polys, res=res).to_pandas()
+        assert set(zip(got["image_id"], got["poly_id"])) == expected, res
+    empty = polys.slice(0, 0)
+    index = spatial.PolygonIndex(empty, 8)
+    assert len(index.idx_cells) == 0 and index.idx_offs.tolist() == [0]
+    assert spatial.pip_join(ds, empty, res=8).count() == 0
 
 
 def test_knn_bucketed_matches_bruteforce():
