@@ -8,8 +8,8 @@ index (`state.refindex.RefIndex`).
 Every window, from the feed loop (`run_replication_windows_store`) or
 from local change files (`apply_changes_window`, the CLI's `--input`
 path), runs the same body, `apply_merged_window`: diff-proportional
-`update.apply_update` -> resumable geo-delta sink -> staged index
-maintenance -> store commit -> index commit.
+`update.apply_update` -> resumable geo-delta sink -> index delta
+staged -> store deltas committed -> index delta committed.
 
 Resume semantics (what a crash mid-backfill costs): each window's
 geometry output is written through the partitioned-resumable sink
@@ -23,8 +23,9 @@ stays a driver table through merge, apply and commit while its merged
 row count fits `closure.DRIVER_WINDOW_ROWS` — a minutely
 window's only Ray Data execution is the geo-delta sink write; larger
 windows (or lazy inputs) run every step as Ray Data dataflow. A window
-rewrites only the store and index buckets its changed ids hash to;
-geometry deltas are partitioned by coarse geo cell
+writes one delta file per changed store kind and one for the index,
+and rewrites no bucket unless it passes a compaction bound
+(`state.lsm`); geometry deltas are partitioned by coarse geo cell
 (`geo.cell_parent`), the same key the flagship sink uses, so a failed
 window resumes per spatial region.
 """
@@ -62,24 +63,23 @@ def apply_merged_window(
     """The one window body: apply a latest-wins-merged window
     (`diff.merge_latest_wins`, materialized) to `store` with
     `ref_index`, write its geo delta to `<out_dir>/<window_id>`
-    through the resumable sink, then commit — stage the index
-    mutations, point-update the store (only buckets holding a changed
-    id are rewritten; the store manifest records which), apply the
-    index. The reference's in-place point-update semantics
-    (`src/osm/OsmChangeHandler.cpp:493-575`) made durable: write cost
-    per window is O(diff + touched-bucket rows), not O(snapshot). A
-    materialized window of at most `closure.DRIVER_WINDOW_ROWS` rows
-    runs apply, staging and commit on driver tables.
+    through the resumable sink, then commit — stage the index delta,
+    append the store's deltas (one file per changed kind, sorted by
+    id; the store manifest records the buckets the changed ids hash
+    to), commit the index delta. The reference's in-place
+    point-update semantics (`src/osm/OsmChangeHandler.cpp:493-575`)
+    made durable: write cost per window is O(diff), not O(snapshot),
+    plus the amortized compaction (`state.lsm`). A materialized
+    window of at most `closure.DRIVER_WINDOW_ROWS` rows runs apply,
+    staging and commit on driver tables.
 
     Ordering contract: the geo-delta sink is consumed BEFORE the store
-    mutates (a distributed window's delta lineage lazily reads the
-    store's bucket files),
-    and the index is staged BEFORE the store mutates (the stale index
-    entries to drop are only derivable from the pre-update snapshot;
-    a crash-rerun reuses the durable staging). Crash anywhere is safe:
-    the sink skips finished partitions, and `apply_window` on the
-    store and the index is a per-bucket fixpoint gated by the window
-    manifest.
+    commits (a distributed window's delta lineage lazily reads the
+    store's bucket files, which a compaction may rewrite). Crash
+    anywhere is safe: the sink skips finished partitions, the index
+    delta is derived from the window alone and re-staged on re-run,
+    and `apply_window` on the store and the index is gated by the
+    window manifest.
 
     `output_mode` 'file'/'debug_file' writes the update to
     `artifact_dir` instead of committing it (store and index
@@ -261,38 +261,22 @@ def _ensure_ref_index(store):
 
 
 def _commit_store(store, ref_index, merged, wid: str) -> dict:
-    """Stage the window's index mutations, then point-update the store
-    (only buckets holding a changed id are rewritten); returns the
-    store's window manifest. Staging runs BEFORE the store mutates
-    (stale entries to drop = exploded PRE-update rows of the changed
-    owners). A crash-rerun whose store already mutated reuses the
-    durable staging — re-deriving it then would read post-update rows
-    and miss the truly-old keys' buckets."""
-    import os
-
+    """Stage the window's index delta (tombstones for the changed ways
+    and relations, entries exploded from their new payloads — both
+    from the window itself), then commit the store's deltas; returns
+    the store's window manifest. The index commit is the caller's
+    `ref_index.apply_window`."""
     from oluray.state import refindex as rix
 
     ops, frame = upd._ops_for(merged)
     changes = upd.window_changes(ops, frame)
-    staged = ref_index.window_manifest(wid) is not None or os.path.exists(
-        os.path.join(ref_index.stage_dir(wid), "_done"))
-    if not staged:
+    if ref_index.window_manifest(wid) is None:
         way_keys, ways = changes["ways"]
         rel_keys, rels = changes["relations"]
-        old = ops.union(
-            ops.map(ops.lookup(store, "ways", way_keys, ["id", "nd_refs"]),
-                    rix.way_entries),
-            ops.map(ops.lookup(store, "relations", rel_keys,
-                               ["id", "members"]), rix.relation_entries),
-        )
-        new = ops.union(ops.map(ways, rix.way_entries),
-                        ops.map(rels, rix.relation_entries))
         ref_index.stage_window(
             wid,
             {"way": way_keys.to_array(), "relation": rel_keys.to_array()},
-            old, new,
+            ops.union(ops.map(ways, rix.way_entries),
+                      ops.map(rels, rix.relation_entries)),
         )
-    return store.apply_window(wid, {
-        kind: (keys, ops.dataset(rows))
-        for kind, (keys, rows) in changes.items()
-    })
+    return store.apply_window(wid, changes)

@@ -32,7 +32,8 @@ property — the merged row count against `closure.DRIVER_WINDOW_ROWS`
 
 The snapshot delete+insert itself (modify = delete+reinsert,
 `:444-447,578-590`) is the caller's commit step
-(`stream.apply_merged_window`), fed by `window_changes`. Derived
+(`stream.apply_merged_window`), fed by `window_changes`: the store
+and the index append it as delta files (`state.lsm`). Derived
 geometry that no window consumes — convex hull / min-area OBB and
 multipolygon area cover — is computed on request by
 `derived_geometry`.
@@ -281,10 +282,10 @@ def area_cells(df: pd.DataFrame, area_res: int) -> pd.DataFrame:
     """Ring rows (rel_id, pos [member], node_id, pos_r [within-way],
     lon, lat) -> (rel_id, ring_id, cell): per relation, member ways in
     member order, each way's nodes in way order, stitched into rings
-    by endpoint NODE ID and covered with cells."""
-    out_rel: list[np.ndarray] = []
-    out_ring: list[np.ndarray] = []
-    out_cell: list[np.ndarray] = []
+    by endpoint NODE ID, then every ring covered by one
+    `geo.polygon_covers` call. Rows come per ring in assembly order,
+    cells sorted within a ring."""
+    rel, ring, lon, lat = [], [], [], []
     for rid, g in df.groupby("rel_id", sort=False):
         g = g.sort_values(["pos", "pos_r"], kind="mergesort")
         segs = [
@@ -292,20 +293,25 @@ def area_cells(df: pd.DataFrame, area_res: int) -> pd.DataFrame:
             for _, gg in g.groupby("pos", sort=False)
         ]
         for ri, (rx, ry) in enumerate(geo.assemble_rings(segs)):
-            cells = geo.polygon_cover(rx, ry, area_res)
-            out_rel.append(np.full(len(cells), rid, dtype=np.int64))
-            out_ring.append(np.full(len(cells), ri, dtype=np.int64))
-            out_cell.append(cells)
-    if not out_rel:
+            rel.append(rid)
+            ring.append(ri)
+            lon.append(rx)
+            lat.append(ry)
+    if not rel:
         return pd.DataFrame(
             {"rel_id": pd.Series([], dtype="int64"),
              "ring_id": pd.Series([], dtype="int64"),
              "cell": pd.Series([], dtype="int64")}
         )
+    offs = np.r_[0, np.cumsum([len(x) for x in lon])]
+    owner, cells = geo.polygon_covers(
+        np.concatenate(lon), np.concatenate(lat), offs, area_res)
+    order = np.lexsort((cells, owner))
+    owner, cells = owner[order], cells[order]
     return pd.DataFrame(
-        {"rel_id": np.concatenate(out_rel),
-         "ring_id": np.concatenate(out_ring),
-         "cell": np.concatenate(out_cell)}
+        {"rel_id": np.asarray(rel, dtype=np.int64)[owner],
+         "ring_id": np.asarray(ring, dtype=np.int64)[owner],
+         "cell": cells.astype(np.int64)}
     )
 
 
@@ -546,13 +552,13 @@ def _context(ops, frame, store, ref_index) -> SimpleNamespace:
     # reverse index's pruned buckets — changed elements are excluded by
     # the in-change-file anti sets, so stale index entries for THIS
     # window's owners can't leak in (the index is maintained at window
-    # end, after closure)
-    ways_geo = ref_index.owners_of(
-        modified_nodes, ("node",), "way", exclude=way_in_cf, limit=lim
+    # end, after closure). The way and relation owners of the modified
+    # nodes come from one read of their index buckets
+    ways_geo, rels_of_nodes = ref_index.owners_of(
+        modified_nodes, ("node",), ("way", "relation"),
+        exclude=(way_in_cf, rel_in_cf), limit=lim,
     )
-    rels_geo = ref_index.owners_of(
-        modified_nodes, ("node",), "relation", exclude=rel_in_cf, limit=lim,
-    ).union(ref_index.owners_of(
+    rels_geo = rels_of_nodes.union(ref_index.owners_of(
         ways_geo.union(way_in_cf), ("way",), "relation",
         exclude=rel_in_cf, limit=lim,
     ))

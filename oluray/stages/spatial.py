@@ -1081,6 +1081,25 @@ def polygons_intersect_batch(ra: pa.ListArray, rb: pa.ListArray) -> np.ndarray:
     return hit
 
 
+def cover_rows(t: pa.Table, id_col: str, ring_col: str, res: int) -> pa.Table:
+    """Polygon rows -> distinct (`id_col`, cell) cover rows at `res`,
+    from one `geo.polygon_covers` call over every ring of the batch;
+    rings of fewer than 3 vertices are skipped."""
+    lon, lat, off = _ring_arrays(t[ring_col])
+    lon, lat = lon[off[0]:off[-1]], lat[off[0]:off[-1]]
+    sizes = np.diff(off)
+    keep = sizes >= 3
+    ids = t[id_col].to_numpy(zero_copy_only=False)[keep].astype(np.int64)
+    if not len(ids):
+        return pa.table({id_col: pa.array([], pa.int64()),
+                         "cell": pa.array([], pa.int64())})
+    vk = np.repeat(keep, sizes)
+    owner, cells = geo.polygon_covers(
+        lon[vk], lat[vk], np.r_[0, np.cumsum(sizes[keep])], res)
+    return pa.table({id_col: pa.array(ids[owner]),
+                     "cell": pa.array(cells.astype(np.int64))})
+
+
 def polygon_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -1093,7 +1112,7 @@ def polygon_join(
     """Polygon ⋈ polygon intersection join, both sides LARGE:
 
       1. cover-explode each side to distinct (id, cell) rows at `res`
-         (`geo.polygon_cover` — a strict superset of touched cells);
+         (`cover_rows` — a strict superset of touched cells);
       2. ONE equi hash join on cell -> candidate id pairs, deduped by
          a hash-partitioned pair shuffle (a pair sharing k cells is
          emitted k times);
@@ -1108,32 +1127,11 @@ def polygon_join(
     stage 2 and is the documented salting point."""
     from oluray.stages import joins
 
-    def explode(side_id: str):
-        def fn(t: pa.Table) -> pa.Table:
-            lon, lat, off = _ring_arrays(t[ring_col])
-            ids = t[side_id].to_numpy(zero_copy_only=False)
-            out_ids, out_cells = [], []
-            for i in range(len(ids)):
-                s, e = off[i], off[i + 1]
-                if e - s < 3:
-                    continue
-                cells = geo.polygon_cover(lon[s:e], lat[s:e], res)
-                out_ids.append(np.full(len(cells), ids[i], dtype=np.int64))
-                out_cells.append(cells)
-            if not out_ids:
-                return pa.table(
-                    {side_id: pa.array([], pa.int64()),
-                     "cell": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {side_id: pa.array(np.concatenate(out_ids)),
-                 "cell": pa.array(np.concatenate(out_cells))}
-            )
-
-        return fn
-
-    lcells = left.map_batches(explode(left_id), batch_format="pyarrow")
-    rcells = right.map_batches(explode(right_id), batch_format="pyarrow")
+    lcells, rcells = (
+        side.map_batches(cover_rows, batch_format="pyarrow", fn_kwargs=dict(
+            id_col=side_id, ring_col=ring_col, res=res))
+        for side, side_id in ((left, left_id), (right, right_id))
+    )
     cand = joins.hash_join(
         lcells, rcells, on="cell", num_partitions=num_partitions,
         left_schema=pa.schema([(left_id, pa.int64()), ("cell", pa.int64())]),

@@ -15,27 +15,34 @@ member rows per window at the 100 TB design point.
 storage shape: one on-disk table of `(key, ktype, owner, otype)`
 rows — `key` a referenced element id, `owner` the way/relation whose
 member list contains it — hash-bucketed by `key` with the same
-splitmix64 partitioner and the same atomic two-rename bucket swap the
-`SnapshotStore` uses. A window's closure then reads ONLY the buckets
-its changed ids hash to (`owners_of`), and maintenance rewrites ONLY
-the buckets holding the changed owners' old/new member keys
-(`apply_window`) — both diff-proportional.
+splitmix64 partitioner the `SnapshotStore` uses. A window's closure
+then reads ONLY the buckets its changed ids hash to (`owners_of`), and
+maintenance writes ONE delta file (`apply_window`) — both
+diff-proportional.
 
-Crash contract (mirrors `SnapshotStore.apply_window`): mutations for
-a window are STAGED (parquet + `_done` marker) by the caller BEFORE
-the snapshot store mutates, because computing "the old member keys of
-the changed owners" requires the pre-update snapshot; `apply_window`
-is manifest-gated and replays from the staging on re-entry, so any
-crash ordering converges — bucket rewrites are delete+insert
-fixpoints exactly like the store's.
+Like the store, the index is a log-structured bucketed table
+(`state.lsm`). A window's delta holds the new entries of its changed
+owners plus one `(otype, owner)` tombstone per changed owner, and a
+tombstone drops every older entry of that owner — so maintenance needs
+neither the owners' old member keys nor the pre-update snapshot.
+`owners_of` merges the pruned base buckets with the live deltas: an
+owner's entries come from the newest delta that tombstones it, else
+from the base.
+
+Crash contract: `stage_window` appends the window's delta to the log
+uncommitted (derived from the window alone, so any stage/commit order
+against the store is safe); `apply_window` commits it by writing the
+window manifest. Re-staging replaces an uncommitted delta; a
+committed window short-circuits. Compaction folds the deltas into
+every bucket holding an entry of a tombstoned owner — which, without
+the old keys, means reading every bucket and rewriting the changed
+ones.
 """
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 import os
-import shutil
 import time
 
 import numpy as np
@@ -46,13 +53,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from oluray.state.snapshot import (
-    _bucket_dir,
-    _bucket_of,
-    _read_bucket,
-    _recover_bucket,
-    _write_bucket_atomic,
-)
+from oluray.state import lsm
 
 _IDX_MANIFEST = "_refindex.json"
 
@@ -117,21 +118,25 @@ def explode_relations_entries(relations: ray.data.Dataset) -> ray.data.Dataset:
 
 
 class RefIndex:
-    """On-disk reverse-member index, hash-bucketed by `key`.
+    """On-disk reverse-member index, a log-structured table
+    hash-bucketed by `key` (`state.lsm`).
 
     Layout under `root/`:
       `_refindex.json` — {n_buckets}
-      `bucket=<b>/*.parquet` — live entries
-      `_windows/<wid>.json` — per-window apply manifest (touched
-        buckets, delete/insert counts)
-      `_stage/<wid>/` — staged mutations (written by the caller before
-        the snapshot store mutates; replayed on crash re-entry)
+      `bucket=<b>/*.parquet` — base entries
+      `_delta/<seq>-<window_id>.parquet` — one file per window: the new
+        entries of its changed owners and one tombstone (`__del`, null
+        key) per changed owner, sorted by key
+      `_windows/<wid>.json` — per-window manifest, the commit point
     """
 
     def __init__(self, root: str):
         self.root = root
         with open(os.path.join(root, _IDX_MANIFEST)) as f:
             self.n_buckets = int(json.load(f)["n_buckets"])
+        self._windows = os.path.join(root, "_windows")
+        self.log = lsm.DeltaLog(root, os.path.join(root, "_delta"),
+                                self._windows)
 
     # -- construction --------------------------------------------------
 
@@ -160,14 +165,14 @@ class RefIndex:
 
         def tag(t: pa.Table, _nb=nb) -> pa.Table:
             keys = t["key"].to_numpy(zero_copy_only=False)
-            return t.append_column("__b", pa.array(_bucket_of(keys, _nb)))
+            return t.append_column("__b", pa.array(lsm.bucket_of(keys, _nb)))
 
         def write_part(df: "pd.DataFrame") -> "pd.DataFrame":
             import pandas as _pd
 
             out_b, out_rows = [], []
             for b, g in df.groupby("__b", sort=False):
-                d = _bucket_dir(root, int(b))
+                d = lsm.bucket_dir(root, int(b))
                 os.makedirs(d, exist_ok=True)
                 t = pa.Table.from_pandas(
                     g.drop(columns="__b"), preserve_index=False
@@ -188,249 +193,251 @@ class RefIndex:
 
     # -- reads ----------------------------------------------------------
 
-    def _recover_all(self) -> None:
-        for d in _glob.glob(os.path.join(self.root, "bucket=*.old")) + \
-                _glob.glob(os.path.join(self.root, "bucket=*.apply-tmp")):
-            base = os.path.basename(d)
-            b = int(base.split("=", 1)[1].split(".", 1)[0])
-            _recover_bucket(self.root, b)
+    def _view(self) -> tuple[pa.Table, dict[str, np.ndarray]] | None:
+        """(live delta entries, tombstoned owner ids per otype) over
+        the live deltas; None when no delta is live."""
+        return self.log.view(_delta_view)
 
     def read(self) -> ray.data.Dataset:
-        """Full streaming read (tests / fallback path)."""
-        self._recover_all()
-        files = sorted(
-            f
-            for d in _glob.glob(os.path.join(self.root, "bucket=*"))
-            if not d.endswith((".old", ".apply-tmp"))
-            for f in _glob.glob(os.path.join(d, "*.parquet"))
-        )
-        if not files:
-            return ray.data.from_arrow(SCHEMA.empty_table())
-        return ray.data.read_parquet(files)
+        """Full streaming read: the base minus the entries of
+        tombstoned owners, plus the live delta entries."""
+        lsm.recover(self.root)
+        files = lsm.bucket_files(self.root)
+        ds = (ray.data.read_parquet(files, columns=SCHEMA.names) if files
+              else ray.data.from_arrow(SCHEMA.empty_table()))
+        view = self._view()
+        if view is None:
+            return ds
+        ents, dead = view
+        ref = ray.put(dead)
+
+        def drop_dead(t: pa.Table) -> pa.Table:
+            return t.filter(pc.invert(_owned_by(t, ray.get(ref))))
+
+        return ds.map_batches(drop_dead, batch_format="pyarrow").union(
+            ray.data.from_arrow(ents))
 
     def owners_of(self, keys, ktypes: tuple[str, ...],
-                  otype: str, exclude=None,
+                  otype, exclude=None,
                   limit: int | None = None) -> "object":
         """Distinct owner ids (as a size-probed `closure.KeySet`) of
         entries with `key in keys`, `ktype in ktypes`, the given
         `otype`, minus `exclude` — i.e. the J1/J2/J3 reverse queries
-        answered from the index. Broadcast key sets read only the
-        buckets the keys hash to; dataset-backed sets (backfill) fall
-        back to a full index scan + distributed semi-join."""
+        answered from the index. `otype` may also be a tuple of owner
+        kinds, with `exclude` a tuple of the same length: the matching
+        entries are then read once and one KeySet per owner kind is
+        returned, in order. Broadcast key sets read only the buckets
+        the keys hash to; dataset-backed sets (backfill) fall back to a
+        full index scan + distributed semi-join."""
         from oluray.stages.closure import (
-            DEFAULT_BROADCAST_KEY_LIMIT, KeySet, anti_join, broadcast_keys,
-            distinct_keys, semi_join, wrap_keys,
+            DEFAULT_BROADCAST_KEY_LIMIT, KeySet, semi_join, wrap_keys,
         )
 
         lim = limit if limit is not None else DEFAULT_BROADCAST_KEY_LIMIT
         ks = keys if isinstance(keys, KeySet) else wrap_keys(keys, lim)
         tset = pa.array(list(ktypes), pa.string())
 
+        def of_ktypes(t: pa.Table) -> pa.Table:
+            return t.filter(pc.is_in(t["ktype"], value_set=tset))
+
         if ks.is_broadcast:
-            from oluray.state.snapshot import LOCAL_READ_BYTES
-
-            ids = ks.to_array()
-            if len(ids) == 0:
-                return KeySet.from_array(np.array([], np.int64), lim)
-            self._recover_all()
-            bl = np.unique(_bucket_of(ids, self.n_buckets))
-            files = sorted(
-                f for b in bl
-                for f in _glob.glob(
-                    os.path.join(_bucket_dir(self.root, int(b)),
-                                 "*.parquet"))
-            )
-            if not files:
-                return KeySet.from_array(np.array([], np.int64), lim)
-            if sum(os.path.getsize(f) for f in files) <= LOCAL_READ_BYTES:
-                # diff-proportional fast path: one driver scan of the
-                # pruned buckets, zero Ray jobs (the reference's
-                # indexed SPARQL lookup costs one round-trip too)
-                t = pa.concat_tables(
-                    [pq.read_table(f).cast(SCHEMA) for f in files]
-                )
-                m = pc.and_(
-                    pc.is_in(t["key"], value_set=pa.array(ids, pa.int64())),
-                    pc.and_(pc.is_in(t["ktype"], value_set=tset),
-                            pc.equal(t["otype"], otype)),
-                )
-                owners = np.unique(
-                    t.filter(m)["owner"].to_numpy(zero_copy_only=False)
-                ).astype(np.int64)
-                if exclude is not None:
-                    ex = (exclude if isinstance(exclude, KeySet)
-                          else wrap_keys(exclude, lim))
-                    if ex.is_broadcast:
-                        owners = owners[~np.isin(owners, ex.to_array())]
-                        return KeySet.from_array(owners, lim)
-                    # dataset-backed exclusion: fall through to the
-                    # distributed anti-join below with the owner hits
-                    hits = ray.data.from_arrow(
-                        pa.table({"owner": pa.array(owners, pa.int64())})
-                    )
-                    hits = anti_join(
-                        hits, "owner", ex,
-                        schema=pa.schema([("owner", pa.int64())]),
-                    )
-                    return distinct_keys(hits, "owner", limit=lim)
-                return KeySet.from_array(owners, lim)
-            ds = ray.data.read_parquet(files)
-            ref = broadcast_keys(ids)
-
-            def match(t: pa.Table) -> pa.Table:
-                kv = ray.get(ref)
-                m = pc.and_(
-                    pc.is_in(t["key"], value_set=pa.array(kv, pa.int64())),
-                    pc.and_(pc.is_in(t["ktype"], value_set=tset),
-                            pc.equal(t["otype"], otype)),
-                )
-                return t.filter(m).select(["owner"])
-
-            hits = ds.map_batches(match, batch_format="pyarrow")
+            hits = self._entries(ks.to_array(), of_ktypes)
         else:
-
-            def tmatch(t: pa.Table) -> pa.Table:
-                m = pc.and_(pc.is_in(t["ktype"], value_set=tset),
-                            pc.equal(t["otype"], otype))
-                return t.filter(m)
-
             hits = semi_join(
-                self.read().map_batches(tmatch, batch_format="pyarrow"),
+                self.read().map_batches(of_ktypes, batch_format="pyarrow"),
                 "key", ks, schema=SCHEMA,
-            ).select_columns(["owner"])
-        if exclude is not None:
-            hits = anti_join(
-                hits, "owner",
-                exclude if isinstance(exclude, KeySet) else wrap_keys(exclude, lim),
-                schema=pa.schema([("owner", pa.int64())]),
             )
-        return distinct_keys(hits, "owner", limit=lim)
+        if isinstance(otype, str):
+            return _owners(hits, otype, exclude, lim)
+        if not isinstance(hits, pa.Table):
+            hits = hits.materialize()
+        return tuple(_owners(hits, o, ex, lim) for o, ex in
+                     zip(otype, exclude or (None,) * len(otype)))
+
+    def _entries(self, ids: np.ndarray, match):
+        """`match`ed live entries with key in `ids`, from the buckets
+        the ids hash to and the live deltas: a driver table when the
+        pruned buckets fit `LOCAL_READ_BYTES`, else a Dataset."""
+        from oluray.stages.closure import broadcast_keys
+        from oluray.state.snapshot import LOCAL_READ_BYTES
+
+        if len(ids) == 0:
+            return SCHEMA.empty_table()
+        lsm.recover(self.root)
+        view = self._view()
+        ents, dead = view if view is not None else (SCHEMA.empty_table(), {})
+        ents = match(ents.filter(
+            pc.is_in(ents["key"], value_set=pa.array(ids, pa.int64()))))
+        files = lsm.bucket_files(
+            self.root, np.unique(lsm.bucket_of(ids, self.n_buckets)))
+        if not files:
+            return ents
+        if sum(os.path.getsize(f) for f in files) <= LOCAL_READ_BYTES:
+            # diff-proportional fast path: one driver scan of the
+            # pruned buckets, zero Ray jobs (the reference's indexed
+            # SPARQL lookup costs one round-trip too)
+            t = lsm.read_files(files, SCHEMA)
+            t = match(t.filter(
+                pc.is_in(t["key"], value_set=pa.array(ids, pa.int64()))))
+            return pa.concat_tables([t.filter(pc.invert(_owned_by(t, dead))), ents])
+        ref = broadcast_keys(ids)
+        dead_ref = ray.put(dead)
+
+        def keep(t: pa.Table) -> pa.Table:
+            t = match(t.filter(
+                pc.is_in(t["key"], value_set=pa.array(ray.get(ref), pa.int64()))))
+            return t.filter(pc.invert(_owned_by(t, ray.get(dead_ref))))
+
+        ds = ray.data.read_parquet(files, columns=SCHEMA.names).map_batches(
+            keep, batch_format="pyarrow")
+        return ds.union(ray.data.from_arrow(ents)) if ents.num_rows else ds
 
     # -- window maintenance ----------------------------------------------
 
     def window_manifest(self, window_id: str) -> dict | None:
-        p = os.path.join(self.root, "_windows", f"{window_id}.json")
-        if not os.path.exists(p):
-            return None
-        with open(p) as f:
-            return json.load(f)
-
-    def stage_dir(self, window_id: str) -> str:
-        return os.path.join(self.root, "_stage", window_id)
+        return lsm.read_manifest(self._windows, window_id)
 
     def stage_window(
         self, window_id: str,
         changed_owners: dict[str, np.ndarray],
-        old_entries: "pa.Table | ray.data.Dataset",
         new_entries: "pa.Table | ray.data.Dataset",
     ) -> str:
-        """Persist a window's index mutations BEFORE the snapshot
-        store mutates (the old entries are only derivable from the
-        pre-update snapshot). `changed_owners` maps otype -> owner id
-        array (create+modify+delete); `old_entries`/`new_entries` are
-        SCHEMA-shaped (old = exploded pre-update rows of the changed
-        owners; new = exploded payload rows): driver `pa.Table`s are
-        written as one parquet file each, Datasets by a distributed
-        write. Staging is atomic via a `_done` marker; re-staging
-        overwrites."""
-        sd = self.stage_dir(window_id)
-        if os.path.exists(sd):
-            shutil.rmtree(sd)
-        os.makedirs(sd)
-        for sub, entries in (("old", old_entries), ("new", new_entries)):
-            if isinstance(entries, pa.Table):
-                os.makedirs(os.path.join(sd, sub))
-                pq.write_table(entries, os.path.join(sd, sub, "part-0.parquet"))
-            else:
-                entries.write_parquet(os.path.join(sd, sub))
-        with open(os.path.join(sd, "owners.json"), "w") as f:
-            json.dump({k: np.asarray(v, dtype=np.int64).tolist()
-                       for k, v in changed_owners.items()}, f)
-        with open(os.path.join(sd, "_done"), "w") as f:
-            f.write("1")
-        return sd
+        """Append a window's index delta to the log, uncommitted:
+        `new_entries` (SCHEMA-shaped, the exploded payload rows of the
+        created/modified owners, a driver table or a Dataset) plus one
+        tombstone per id of `changed_owners` (otype -> owner ids,
+        create+modify+delete). Re-staging replaces an uncommitted
+        delta. Returns the delta file name."""
+        new = lsm.as_table(new_entries, SCHEMA)
+        tombs = [
+            pa.table({
+                "key": pa.nulls(len(ids), pa.int64()),
+                "ktype": pa.nulls(len(ids), pa.string()),
+                "owner": pa.array(np.asarray(ids, np.int64)),
+                "otype": pa.array([otype] * len(ids), pa.string()),
+            }, schema=SCHEMA)
+            for otype, ids in changed_owners.items()
+        ]
+        delta = pa.concat_tables(
+            [lsm.with_flag(new, False)]
+            + [lsm.with_flag(t, True) for t in tombs]
+        ).sort_by([("key", "ascending"), ("owner", "ascending")])
+        return self.log.append(window_id, delta)
 
     def apply_window(self, window_id: str) -> dict:
-        """Apply the staged mutations: per touched bucket, drop every
-        entry whose owner changed this window, insert the new entries.
-        Manifest-gated and idempotent (bucket delete+insert fixpoint,
-        atomic two-rename swap). Touched buckets = buckets of the OLD
-        keys union buckets of the NEW keys — diff-proportional."""
+        """Commit the staged delta: write the window manifest, then
+        compact if `lsm` bounds are passed. Manifest-gated. The
+        manifest's `touched_buckets` are the buckets of the new
+        entries' keys; `rows_after` the rows of every file written, as
+        in `SnapshotStore.apply_window`."""
         done = self.window_manifest(window_id)
         if done is not None:
             return done
-        sd = self.stage_dir(window_id)
-        if not os.path.exists(os.path.join(sd, "_done")):
+        name = self.log.pending(window_id)
+        if name is None:
             raise FileNotFoundError(
-                f"refindex staging for {window_id} missing/incomplete — "
-                "stage_window must run before the snapshot store mutates"
+                f"refindex delta for {window_id} missing — "
+                "stage_window must run before apply_window"
             )
         t0 = time.perf_counter()
-
-        def _read_stage(sub: str) -> pa.Table:
-            files = sorted(
-                _glob.glob(os.path.join(sd, sub, "*.parquet")))
-            if not files:
-                return SCHEMA.empty_table()
-            return pa.concat_tables(
-                [pq.read_table(f).cast(SCHEMA) for f in files])
-
-        old = _read_stage("old")
-        new = _read_stage("new")
-        with open(os.path.join(sd, "owners.json")) as f:
-            owners = {k: np.asarray(v, dtype=np.int64)
-                      for k, v in json.load(f).items()}
-
-        keys = np.concatenate([
-            old["key"].to_numpy(zero_copy_only=False),
-            new["key"].to_numpy(zero_copy_only=False),
-        ]) if (old.num_rows + new.num_rows) else np.array([], np.int64)
-        touched = np.unique(_bucket_of(keys, self.n_buckets))
-        nb = self.n_buckets
-
-        new_b = _bucket_of(
-            new["key"].to_numpy(zero_copy_only=False), nb
-        ) if new.num_rows else np.array([], np.int64)
-
-        @ray.remote
-        def rewrite(b: int, ins: pa.Table, _root=self.root,
-                    _owners=owners) -> tuple[int, int, int]:
-            _recover_bucket(_root, b)
-            live = _read_bucket(_root, b, SCHEMA)
-            keep = live
-            for otype, oids in _owners.items():
-                if len(oids) == 0:
-                    continue
-                stale = pc.and_(
-                    pc.is_in(keep["owner"],
-                             value_set=pa.array(oids, pa.int64())),
-                    pc.equal(keep["otype"], otype),
-                )
-                keep = keep.filter(pc.invert(stale))
-            out = pa.concat_tables([keep, ins]) if ins.num_rows else keep
-            _write_bucket_atomic(_root, b, out)
-            return (b, live.num_rows - keep.num_rows, ins.num_rows)
-
-        futs = []
-        for b in touched:
-            ins = new.filter(pa.array(new_b == b)) if new.num_rows \
-                else SCHEMA.empty_table()
-            futs.append(rewrite.remote(int(b), ins))
-        results = ray.get(futs)
-
+        delta = self.log.table(name)
+        dead = delta[lsm.DELETED].to_numpy(zero_copy_only=False)
+        keys = delta["key"].to_numpy(zero_copy_only=False)[~dead]
         man = {
             "window_id": window_id,
-            "touched_buckets": [int(r[0]) for r in results],
-            "deleted": int(sum(r[1] for r in results)),
-            "inserted": int(sum(r[2] for r in results)),
+            "touched_buckets": np.unique(
+                lsm.bucket_of(keys, self.n_buckets)).tolist(),
+            "deleted": int(dead.sum()),
+            "inserted": int(len(keys)),
+            "rows_after": {f"_delta/{name}": delta.num_rows},
             "seconds": time.perf_counter() - t0,
             "finished_at": time.time(),
         }
-        os.makedirs(os.path.join(self.root, "_windows"), exist_ok=True)
-        tmp = os.path.join(self.root, "_windows", f".{window_id}.tmp")
-        with open(tmp, "w") as f:
-            json.dump(man, f)
-        os.replace(tmp, os.path.join(self.root, "_windows",
-                                     f"{window_id}.json"))
-        shutil.rmtree(sd, ignore_errors=True)
+        lsm.write_manifest(self._windows, man)  # the commit point
+        if self.log.compaction_due():
+            man["compaction"] = self.compact()
+            man["rows_after"].update(man["compaction"]["rows_after"])
+            lsm.write_manifest(self._windows, man)
         return man
+
+    def compact(self) -> dict:
+        """Fold every live delta into the buckets: drop the entries of
+        tombstoned owners from every bucket, add the live delta
+        entries to the buckets their keys hash to
+        (`lsm.DeltaLog.compact`); returns the cost record."""
+        view = self._view()
+        if view is None:
+            return self.log.compact(SCHEMA, [], None)
+        ents, dead = view
+        eb = lsm.bucket_of(ents["key"].to_numpy(zero_copy_only=False),
+                           self.n_buckets)
+
+        def fold(b: int, rows: pa.Table) -> pa.Table | None:
+            stale = _owned_by(rows, dead)
+            add = ents.filter(pa.array(eb == b))
+            if not add.num_rows and not pc.any(stale).as_py():
+                return None
+            return pa.concat_tables([rows.filter(pc.invert(stale)), add])
+
+        return self.log.compact(SCHEMA, range(self.n_buckets), fold)
+
+
+def _delta_view(t: pa.Table) -> tuple[pa.Table, dict[str, np.ndarray]]:
+    """Concatenated deltas (with `lsm.SEQ`) -> (live entries,
+    tombstoned owner ids per otype). An owner's live entries are those
+    of the newest delta that tombstones it (`diff.latest_per_key`);
+    older ones, base entries included, are dead."""
+    from oluray.stages.diff import latest_per_key
+
+    tomb = t.filter(t[lsm.DELETED]).select(["otype", "owner", lsm.SEQ])
+    last = latest_per_key(tomb, ["otype", "owner"], [(lsm.SEQ, "descending")])
+    ents = t.filter(pc.invert(t[lsm.DELETED])).join(
+        last, keys=["otype", "owner", lsm.SEQ], join_type="inner",
+    ).select(SCHEMA.names).cast(SCHEMA)
+    dead = {
+        o: np.unique(last.filter(pc.equal(last["otype"], o))["owner"]
+                     .to_numpy(zero_copy_only=False)).astype(np.int64)
+        for o in pc.unique(last["otype"]).to_pylist()
+    }
+    return ents, dead
+
+
+def _owned_by(t: pa.Table, dead: dict[str, np.ndarray]) -> pa.Array:
+    """Mask of `t`'s entries whose (otype, owner) is in `dead`."""
+    m = pa.array(np.zeros(t.num_rows, dtype=bool))
+    for otype, ids in dead.items():
+        m = pc.or_(m, pc.and_(
+            pc.equal(t["otype"], otype),
+            pc.is_in(t["owner"], value_set=pa.array(ids, pa.int64())),
+        ))
+    return m
+
+
+def _owners(hits, otype: str, exclude, lim: int):
+    """Distinct owners of kind `otype` among `hits` (a driver table or
+    a Dataset of entries), minus `exclude`, as a `closure.KeySet`."""
+    from oluray.stages.closure import (
+        KeySet, anti_join, distinct_keys, wrap_keys,
+    )
+
+    ex = None if exclude is None else (
+        exclude if isinstance(exclude, KeySet) else wrap_keys(exclude, lim))
+    owner_schema = pa.schema([("owner", pa.int64())])
+    if isinstance(hits, pa.Table):
+        owners = np.unique(
+            hits.filter(pc.equal(hits["otype"], otype))["owner"]
+            .to_numpy(zero_copy_only=False)).astype(np.int64)
+        if ex is None or ex.is_broadcast:
+            if ex is not None:
+                owners = owners[~np.isin(owners, ex.to_array())]
+            return KeySet.from_array(owners, lim)
+        # dataset-backed exclusion: a distributed anti-join of the hits
+        hits = ray.data.from_arrow(pa.table({"owner": pa.array(owners, pa.int64())}))
+    else:
+        def of_otype(t: pa.Table) -> pa.Table:
+            return t.filter(pc.equal(t["otype"], otype)).select(["owner"])
+
+        hits = hits.map_batches(of_otype, batch_format="pyarrow")
+    if ex is not None:
+        hits = anti_join(hits, "owner", ex, schema=owner_schema)
+    return distinct_keys(hits, "owner", limit=lim)

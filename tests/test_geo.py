@@ -293,6 +293,36 @@ def test_area_cells_matches_oracle_cover():
             {(71, 0, c) for c in want.tolist()}
 
 
+def test_area_cells_one_cover_call_matches_per_ring_loop():
+    """`update.area_cells` covers every ring of a frame with one
+    `polygon_covers` call; its rows equal, in order, the per-ring
+    `polygon_cover` loop it replaced, over several relations with
+    several rings each."""
+    from oluray.pipelines import update
+
+    polys = fixtures.make_change_polys(12, seed=4, span_deg=10.0)
+    rows, nid = [], 1
+    for i, ring in enumerate(polys["ring"].to_pylist()):
+        rel = 900 + i // 3  # three closed one-way rings per relation
+        ids = list(range(nid, nid + len(ring))) + [nid]
+        nid += len(ring)
+        pts = ring + ring[:1]
+        rows += [(rel, i % 3, n, k, v["lon"], v["lat"])
+                 for k, (n, v) in enumerate(zip(ids, pts))]
+    df = pd.DataFrame(rows, columns=["rel_id", "pos", "node_id", "pos_r", "lon", "lat"])
+    for res in (5, 8):
+        want = []
+        for rid, g in df.groupby("rel_id", sort=False):
+            g = g.sort_values(["pos", "pos_r"], kind="mergesort")
+            segs = [(gg["node_id"].to_numpy(), gg["lon"].to_numpy(),
+                     gg["lat"].to_numpy()) for _, gg in g.groupby("pos", sort=False)]
+            for ri, (rx, ry) in enumerate(geo.assemble_rings(segs)):
+                want += [(rid, ri, c) for c in geo.polygon_cover(rx, ry, res).tolist()]
+        got = update.area_cells(df, res)
+        assert list(zip(got["rel_id"], got["ring_id"], got["cell"])) == want
+        assert len({r for r, _, _ in want}) == 4 and len(want) > 12
+
+
 def test_haversine_known_values_and_sql(con):
     # quarter circumference: equator to pole
     d = geo.haversine_m(np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([90.0]))

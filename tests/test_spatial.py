@@ -291,6 +291,35 @@ def test_polygon_join_matches_bruteforce():
     assert len(want) > 0
 
 
+def test_cover_rows_matches_per_ring_cover():
+    """`spatial.cover_rows` (polygon_join's explode, one
+    `polygon_covers` call per batch) gives exactly the (polygon, cell)
+    rows of the per-ring `polygon_cover` loop it replaced; rings under
+    three vertices are skipped, and a sliced batch works."""
+    polys = fixtures.make_change_polys(40, seed=6, span_deg=10.0)
+    short = pa.table({"poly_id": pa.array([10_001, 10_002], pa.int64()),
+                      "ring": pa.array([[{"lon": 1.0, "lat": 1.0}] * 2, []],
+                                       polys["ring"].type)})
+    t = pa.concat_tables([polys.select(["poly_id", "ring"]), short])
+    for res in (4, 7):
+        for batch in (t, t.slice(5, 30)):
+            got = spatial.cover_rows(batch, "poly_id", "ring", res)
+            want = [
+                (pid, c)
+                for pid, ring in zip(batch["poly_id"].to_pylist(),
+                                     batch["ring"].to_pylist())
+                if len(ring) >= 3
+                for c in geo.polygon_cover(np.array([v["lon"] for v in ring]),
+                                           np.array([v["lat"] for v in ring]),
+                                           res).tolist()
+            ]
+            assert sorted(zip(got["poly_id"].to_pylist(),
+                              got["cell"].to_pylist())) == sorted(want)
+            assert got.schema.field("poly_id").type == pa.int64()
+    empty = spatial.cover_rows(short, "poly_id", "ring", 5)
+    assert empty.num_rows == 0 and empty.column_names == ["poly_id", "cell"]
+
+
 def test_simplify_polys_stage():
     from oluray.sources import fixtures
     from oluray.stages import spatial as sp
