@@ -159,11 +159,6 @@ def cell_bounds(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return lon0, lat0, lon0 + 360.0 / n, lat0 + 180.0 / n
 
 
-def cell_center(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lon0, lat0, lon1, lat1 = cell_bounds(cell)
-    return (lon0 + lon1) / 2.0, (lat0 + lat1) / 2.0
-
-
 def cell_parent(cell: np.ndarray, parent_res: int) -> np.ndarray:
     """Ancestor cell id at a coarser resolution (hierarchy walk)."""
     res, x, y = cell_decode(cell)

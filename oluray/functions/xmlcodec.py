@@ -67,16 +67,6 @@ def xml_decode_series(s):
     return s
 
 
-def xml_encode_arrow(arr):
-    """Arrow-native `xml_encode` (pc.replace_substring chain — no
-    pandas round-trip)."""
-    import pyarrow.compute as pc
-
-    for ch, ent in _ENCODE:
-        arr = pc.replace_substring(arr, pattern=ch, replacement=ent)
-    return arr
-
-
 def xml_decode_arrow(arr):
     """Arrow-native `xml_decode` (same `&amp;`-last entity order)."""
     import pyarrow.compute as pc

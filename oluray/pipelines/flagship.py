@@ -30,6 +30,7 @@ import ray
 import ray.data
 
 from oluray.functions import geo
+from oluray.pipelines.stream import add_part
 from oluray.sources.fixtures import footprint_from_phash
 from oluray.stages.spatial import pip_join, tile_cover
 
@@ -136,20 +137,12 @@ def assignments_pipeline(
     # raster->vector: THE tile_cover operator (single implementation,
     # kept in lockstep with the SQL oracle) carrying the assignment
     # payload, then a coarse partition cell for the resumable sink
-    from oluray.stages.spatial import tile_cover
-
     tiles = tile_cover(
         hits, tile_res, id_col="image_id",
         carry_cols=("poly_id", "op", "dist_m", "caption"),
     )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = geo.cell_parent(
-            batch["cell"].to_numpy(zero_copy_only=False), part_res
-        )
-        return batch.append_column("part", pa.array(part))
-
-    return tiles.map_batches(add_part, batch_format="pyarrow", batch_size=batch_size)
+    return tiles.map_batches(add_part, fn_kwargs={"part_res": part_res},
+                             batch_format="pyarrow", batch_size=batch_size)
 
 
 def run_window(

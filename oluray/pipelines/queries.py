@@ -26,7 +26,7 @@ import ray
 import ray.data
 
 from oluray.functions import geo
-from oluray.stages import ann, closure, dedup, joins, spatial, text
+from oluray.stages import closure, dedup, joins, spatial, text
 
 
 def _round_half_away(x) -> np.ndarray:
@@ -60,7 +60,6 @@ KNN_FEATURES: list[tuple[int, float, float]] = [
     (5, 77.2, 28.6), (6, 116.4, 39.9), (7, 151.2, -33.9), (8, -43.2, -22.9),
 ]
 
-ANN_K = 5
 ANN_QUERY_IDS = [0, 1, 2, 3]
 
 
@@ -471,162 +470,8 @@ def q_tile_cover(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# relational core
-# ---------------------------------------------------------------------------
-
-
-def q_pricing_summary(sf_dir: str):
-    """TPC-H Q1 shape with the skew-safe partial-aggregate pattern:
-    per-batch partial sums, then a tiny groupby over partials.
-    Money as integer cents (see module docstring)."""
-    li = _read(
-        sf_dir,
-        "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["revenue"] = df["l_extendedprice"] * (1.0 - df["l_discount"])
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base=("l_extendedprice", "sum"),
-            sum_disc_price=("revenue", "sum"),
-            n=("l_quantity", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = li.map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base", alias_name="sum_base"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("n", alias_name="count_order"),
-    )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "l_returnflag": df["l_returnflag"],
-                "l_linestatus": df["l_linestatus"],
-                "sum_qty": _round_half_away(df["sum_qty"]),
-                "sum_base_cents": _round_half_away(df["sum_base"] * 100),
-                "sum_disc_cents": _round_half_away(df["sum_disc_price"] * 100),
-                "count_order": df["count_order"].astype("int64"),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
-
-
-def q_topk_orders(sf_dir: str):
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    top = orders.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderkey": df["o_orderkey"],
-                "total_cents": _round_half_away(df["o_totalprice"] * 100),
-            }
-        )
-
-    return top.map_batches(finalize, batch_format="pandas")
-
-
-def q_brand_stats(sf_dir: str):
-    part = _read(sf_dir, "part", ["p_brand", "p_size"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("p_brand", as_index=False).agg(
-            n=("p_size", "size"), sum_size=("p_size", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    agg = part.map_batches(partial, batch_format="pyarrow").groupby("p_brand").aggregate(
-        Sum("n", alias_name="n"), Sum("sum_size", alias_name="sum_size")
-    )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "p_brand": df["p_brand"],
-                "n": df["n"].astype("int64"),
-                "sum_size": df["sum_size"].astype("int64"),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
-
-
-def q_events_value_sum(sf_dir: str):
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("event_type", as_index=False).agg(
-            n=("value", "size"), sum_value=("value", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    agg = ev.map_batches(partial, batch_format="pyarrow").groupby("event_type").aggregate(
-        Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value")
-    )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "n": df["n"].astype("int64"),
-                "sum_value_cents": _round_half_away(df["sum_value"] * 100),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
 # training-data ops
 # ---------------------------------------------------------------------------
-
-
-def q_dedup_exact(sf_dir: str):
-    # the oracle compares the KEEP-SET (which doc survives per exact-
-    # duplicate group); the digest itself is engine-internal since r4
-    # (vectorized keyed 128-bit hash replaced per-row md5)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dedup.exact_dedup(docs, concurrency=4).select_columns(["doc_id"])
-
-
-def q_ngram_jaccard(sf_dir: str):
-    """Exact n-gram Jaccard pairs — the non-sketch member of the dedup
-    family, oracle-matchable because grams are literal substrings and
-    jaccard_e6 is integer division (no rounded floats)."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dedup.ngram_jaccard_pairs(docs, n=6, threshold_e6=150000,
-                                     num_partitions=16)
-
-
-def q_token_count(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(text.TokenCount, batch_format="pandas", concurrency=(1, 4))
-
-
-def q_quality(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(text.QualityCounts, batch_format="pandas", concurrency=(1, 4))
-
-
-def q_langid(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(text.LangId, batch_format="pandas", concurrency=(1, 4))
 
 
 def _ann_queries(sf_dir: str):
@@ -642,12 +487,6 @@ def _ann_queries(sf_dir: str):
     return ids[order], m
 
 
-def q_ann_topk(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids, qm = _ann_queries(sf_dir)
-    return ann.brute_topk(emb, qids, qm, k=ANN_K, round_digits=6)
-
-
 def q_fingerprint(sf_dir: str):
     # rows-only check (rolling hash not expressible in SQL)
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -657,41 +496,6 @@ def q_fingerprint(sf_dir: str):
 def q_simhash(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return docs.map_batches(dedup.SimHash, batch_format="pandas", concurrency=(1, 4))
-
-
-def q_minhash_pairs(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dedup.minhash_lsh_pairs(docs, threshold=0.6, concurrency=4)
-
-
-def q_near_dedup(sf_dir: str):
-    """Cluster-level near-dedup (rows-only): verified minhash pairs ->
-    connected components -> keep min doc per cluster."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dedup.near_dedup_keep(docs, threshold=0.6, concurrency=4)
-
-
-def q_lsh_topk(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids, qm = _ann_queries(sf_dir)
-    return ann.lsh_topk(emb, qids, qm, k=ANN_K, n_bits=6, n_probe_bits=2)
-
-
-def q_ivf_topk(sf_dir: str):
-    # rows-only: iterative k-means training is not SQL-expressible
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids, qm = _ann_queries(sf_dir)
-    return ann.ivf_topk(emb, qids, qm, k=ANN_K, n_centroids=32, n_probe=8)
-
-
-def q_pq_topk(sf_dir: str):
-    """PQ/ADC approximate top-k (ann.pq_topk): subspace codebooks on a
-    bounded sample, corpus scanned as codes + lookup tables — the
-    64x-compression ANN path. Rows-only (k-means + ADC aren't SQL);
-    recall-tested vs the brute oracle in pytest."""
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids, qm = _ann_queries(sf_dir)
-    return ann.pq_topk(emb, qids, qm, k=ANN_K, m_sub=32, n_codes=16)
 
 
 def _synth_images(sf_dir: str):
@@ -777,98 +581,6 @@ def q_image_dup_clusters(sf_dir: str):
     )
 
 
-def q_polygon_join(sf_dir: str):
-    """Polygon ⋈ polygon intersection join (`spatial.polygon_join`):
-    deterministic hexagon footprints around each customer's derived
-    point vs the changeset polygon fixture set — cover-explode both
-    sides, one cell equi join, pair dedup, exact vectorized
-    edge-cross + containment verify. Rows-only (no SQL spatial
-    support); verified in pytest against per-pair brute loops."""
-    from oluray.sources import fixtures
-
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-
-    def mk(t: pa.Table) -> pa.Table:
-        ids = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lon, lat = geo.derive_lonlat(ids)
-        n, k = len(ids), 6
-        # radius 0.5-3 deg from the id hash; +id-dependent rotation so
-        # vertex layouts differ across rows
-        r = 0.5 + (ids % np.int64(100)).astype(np.float64) / 40.0
-        rot = (ids % np.int64(360)).astype(np.float64) * (np.pi / 180.0)
-        ang = rot[:, None] + 2.0 * np.pi * np.arange(k) / k
-        flon = (lon[:, None] + r[:, None] * np.cos(ang)).ravel()
-        flat = (lat[:, None] + r[:, None] * np.sin(ang)).ravel()
-        ring = pa.ListArray.from_arrays(
-            pa.array(np.arange(n + 1, dtype=np.int32) * k),
-            pa.StructArray.from_arrays(
-                [pa.array(flon), pa.array(flat)], ["lon", "lat"]
-            ),
-        )
-        return pa.table({"a_id": pa.array(ids), "ring": ring})
-
-    left = cust.map_batches(mk, batch_format="pyarrow")
-    polys = fixtures.make_change_polys(32, seed=5)
-    right = ray.data.from_arrow(
-        pa.table({"b_id": polys["poly_id"], "ring": polys["ring"]})
-    )
-    return spatial.polygon_join(
-        left, right, res=4, num_partitions=16
-    )
-
-
-def q_quantized_topk(sf_dir: str):
-    """Top-k over int8-quantized embeddings (`ann.quantized_topk`):
-    per-row symmetric quantization (4x memory, row scales cancel in
-    the normalized dot), per-batch integer-dot top-k, tiny reduce.
-    Rows-only (approximate by design); recall vs exact pytest-bounded."""
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids, qm = _ann_queries(sf_dir)
-    return ann.quantized_topk(emb, qids, qm, k=ANN_K, round_digits=6)
-
-
-def q_pca_project(sf_dir: str):
-    """Distributed exact PCA over the embeddings table (`ann.pca_fit`
-    / `pca_transform`): per-block (n, sum, Gram) moment triples —
-    d x d per block, never the corpus — assembled into the exact
-    covariance on the driver, tiny eigh, then a stateless projection
-    map. Rows-only (eigendecomposition not expressible in SQL);
-    pytest checks eigenvalues + subspace against numpy exactly."""
-    from oluray.stages.ann import pca_fit, pca_transform
-
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    model = pca_fit(emb, "embedding", k=8)
-    return pca_transform(emb, model, "embedding", "pca").select_columns(
-        ["vec_id", "pca"]
-    )
-
-
-def q_image_augment(sf_dir: str):
-    """Deterministic image augmentation over real pixels
-    (`image.Augment`): flip + rotate + center-crop chain, re-encoded
-    PNG. Rows-only (pixel ops not expressible in SQL); involution and
-    dimension invariants pytest-verified."""
-    from oluray.stages.image import Augment
-
-    images = _synth_images(sf_dir)
-    return images.map_batches(
-        Augment, fn_constructor_kwargs=dict(ops=("hflip", ("rot90", 1))),
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 4),
-    ).select_columns(["image_id", "w", "h", "fmt"])
-
-
-def q_image_decode(sf_dir: str):
-    """Multimodal plumbing: synthesize a deterministic image per doc,
-    decode through the actor-pool stage, emit stats. Rows-only (pixel
-    decode is not expressible in SQL)."""
-    from oluray.stages.image import DecodeStats
-
-    images = _synth_images(sf_dir)
-    return images.map_batches(
-        DecodeStats, batch_format="pyarrow", batch_size=256, concurrency=(1, 4)
-    ).select_columns(["image_id", "w", "h", "mean_px", "phash_decoded"])
-
-
 RADIUS_M = 2_000_000.0  # 2000 km distance-join radius
 
 
@@ -903,37 +615,6 @@ def q_radius_join(sf_dir: str):
         )
 
     return pts.map_batches(within, batch_format="pyarrow")
-
-
-SELF_RADIUS_M = 150_000.0  # 150 km self-join radius
-
-
-def q_distance_pairs(sf_dir: str):
-    """LARGE-LARGE distance self-join: every customer-point pair
-    within 150 km of each other (`spatial.distance_self_join`) — the
-    shape `radius_join` cannot take when the lookup side outgrows a
-    broadcast. Grid blocking at an auto-derived resolution (3x3
-    neighborhood provably complete for the radius), one-sided ghost
-    replication into smaller-id neighbor cells so each pair forms
-    exactly once, per-cell C-level merge + vectorized haversine.
-    Nothing is broadcast; the exchange carries <= 5 tiny rows per
-    point regardless of corpus size."""
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    pts = _with_points(cust, "c_custkey")
-    return spatial.distance_self_join(
-        pts, "c_custkey", SELF_RADIUS_M, num_partitions=32
-    )
-
-
-def _distance_pairs_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("c_custkey")
-    hav = geo.haversine_sql("a.lon", "a.lat", "b.lon", "b.lat")
-    return f"""
-    WITH p AS (SELECT c_custkey AS k, {lon} AS lon, {lat} AS lat FROM customer)
-    SELECT a.k AS ka, b.k AS kb, round({hav} * 1000.0)::BIGINT AS dist_mm
-    FROM p a JOIN p b ON a.k < b.k
-    WHERE {hav} < {SELF_RADIUS_M!r}
-    """
 
 
 def q_label_centroids(sf_dir: str):
@@ -1082,18 +763,6 @@ def q_time_weighted_avg(sf_dir: str):
                                  pre_repartition=False)
 
 
-def q_fuzzy_name_pairs(sf_dir: str):
-    """Entity resolution / fuzzy join: all part pairs whose names are
-    within Levenshtein distance 1 (`text.fuzzy_pairs_ed1`). FastSS
-    deletion-neighborhood blocking — candidates only form inside a
-    shared-variant hash partition, verified by one vectorized gather,
-    deduped by the hash-partitioned pair shuffle. Never all-pairs:
-    cost scales with true match mass, not corpus size squared."""
-    part = _read(sf_dir, "part", ["p_partkey", "p_name"])
-    return text.fuzzy_pairs_ed1(part, "p_partkey", "p_name",
-                                num_partitions=32)
-
-
 def q_unigram_logprob(sf_dir: str):
     """Unigram language-model scoring (the perplexity-style quality
     filter of LLM-data pipelines): every doc's summed log-probability
@@ -1167,21 +836,6 @@ def q_unigram_logprob(sf_dir: str):
                              combine_fn=dsum_c, pre_repartition=False)
 
 
-def q_image_patches(sf_dir: str):
-    """ViT-style patchification (`image.PatchExtract`): every synth
-    image cut into 8x8 patch rows with grid coords and per-patch
-    mean/std — the fan-out layout a vision-training dataloader
-    shards. Rows-only (pixel ops not SQL-expressible); patch-byte
-    exactness is pytest-verified against direct slicing."""
-    from oluray.stages.image import PatchExtract
-
-    images = _synth_images(sf_dir)
-    return images.map_batches(
-        PatchExtract, fn_constructor_kwargs=dict(patch=8, with_bytes=False),
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 4),
-    )
-
-
 def q_caption_pairs(sf_dir: str):
     """Multimodal pair curation: the (image, caption) training-pair
     draw — synth per-doc image metadata joined back to the documents
@@ -1227,163 +881,6 @@ def q_caption_pairs(sf_dir: str):
 # no event-time windowing; these follow the ordered-log pattern:
 # partition by key, order by (ts, event_id) inside the group
 # ---------------------------------------------------------------------------
-
-
-def q_window_hourly(sf_dir: str):
-    """Tumbling 1h window per user: count + sum(value) as cents."""
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["hour"] = df["ts"].dt.floor("h")
-        g = df.groupby(["user_id", "hour"], as_index=False).agg(
-            n=("value", "size"), sum_value=("value", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    agg = ev.map_batches(partial, batch_format="pyarrow", batch_size=65536).groupby(
-        ["user_id", "hour"]
-    ).aggregate(Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value"))
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "user_id": df["user_id"],
-                "hour": df["hour"].astype("datetime64[us]"),
-                "n": df["n"].astype("int64"),
-                "sum_value_cents": _round_half_away(df["sum_value"] * 100),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
-
-
-def q_asof_join(sf_dir: str):
-    """As-of join: each event matched to the latest order date of the
-    same customer at-or-before the event time. r2: co-partitioned
-    hash shuffle of BOTH sides + per-partition `merge_asof`
-    (`joins.asof_join`) — the r1 version materialized the entire
-    orders table into a driver-side dict (VERDICT r1 item 5); now
-    neither side is broadcast or driver-resident."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    out = joins.asof_join(
-        ev, orders, by="user_id", right_by="o_custkey",
-        on="ts", right_on="o_orderdate", out_col="last_order",
-    )
-    return out.select_columns(["event_id", "user_id", "last_order"])
-
-
-def q_asof_forward(sf_dir: str):
-    """Forward as-of join (`joins.asof_join(direction="forward")`):
-    each event matched to the EARLIEST order date of the same customer
-    at-or-after the event time — the look-ahead complement of
-    `q_asof_join`, same co-partitioned shuffle, no broadcast."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    out = joins.asof_join(
-        ev, orders, by="user_id", right_by="o_custkey",
-        on="ts", right_on="o_orderdate", out_col="next_order",
-        direction="forward",
-    )
-    return out.select_columns(["event_id", "user_id", "next_order"])
-
-
-def q_range_join(sf_dir: str):
-    """Interval (range) join WITHOUT an equi key: every purchase
-    event that fell inside the 60-minute window after an error event
-    — (purchase, error) pairs. Banding construction
-    (`joins.range_join`): ts → band, interval → exploded band rows,
-    one hash join on the band, post-filter. Band width = interval
-    length so right-side amplification is ≤ 2 rows per interval."""
-    HOUR_US = 3_600_000_000  # 60 min in epoch microseconds
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
-
-    def purchases(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["event_type"], "purchase"))
-        return pa.table(
-            {
-                "purchase_id": t["event_id"],
-                "pts": t["ts"].cast(pa.int64()),
-            }
-        )
-
-    def errors(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["event_type"], "error"))
-        start = t["ts"].cast(pa.int64())
-        return pa.table(
-            {
-                "error_id": t["event_id"],
-                "w_start": start,
-                "w_end": pc.add(start, HOUR_US),
-            }
-        )
-
-    left = ev.map_batches(purchases, batch_format="pyarrow")
-    right = ev.map_batches(errors, batch_format="pyarrow")
-    out = joins.range_join(
-        left, right, ts_col="pts", start_col="w_start", end_col="w_end",
-        band=HOUR_US,
-    )
-    return out.select_columns(["purchase_id", "error_id"])
-
-
-def q_overlap_join(sf_dir: str):
-    """Interval-OVERLAP join, both sides intervals
-    (`joins.interval_join`): 30-minute purchase windows vs 45-minute
-    error windows that overlap — (purchase, error) pairs. Both sides
-    band-explode; the canonical-band rule (pair kept only in the band
-    of the intersection start) emits each pair exactly once with no
-    pair-dedup shuffle."""
-    M30 = 1_800_000_000  # 30 min in epoch us
-    M45 = 2_700_000_000
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
-
-    def purchases(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["event_type"], "purchase"))
-        s = t["ts"].cast(pa.int64())
-        return pa.table(
-            {"purchase_id": t["event_id"], "p_start": s,
-             "p_end": pc.add(s, M30)}
-        )
-
-    def errors(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["event_type"], "error"))
-        s = t["ts"].cast(pa.int64())
-        return pa.table(
-            {"error_id": t["event_id"], "e_start": s,
-             "e_end": pc.add(s, M45)}
-        )
-
-    out = joins.interval_join(
-        ev.map_batches(purchases, batch_format="pyarrow"),
-        ev.map_batches(errors, batch_format="pyarrow"),
-        left_start="p_start", left_end="p_end",
-        right_start="e_start", right_end="e_end",
-        band=M45,
-    )
-    return out.select_columns(["purchase_id", "error_id"])
-
-
-def q_order_ranks(sf_dir: str):
-    """SQL ranking window functions (`joins.group_rank`): per
-    customer, each order's RANK / DENSE_RANK / PERCENT_RANK /
-    CUME_DIST by order date — ties are real (same-day orders), so the
-    peer-group arithmetic is exercised, and the float columns are
-    single IEEE divisions that hash-match DuckDB exactly."""
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_orderdate"])
-    ranked = joins.group_rank(
-        orders, ["o_custkey"], [("o_orderdate", True)], num_partitions=16,
-    )
-    return ranked.select_columns(
-        ["o_custkey", "o_orderkey", "rank", "dense_rank",
-         "percent_rank", "cume_dist"]
-    )
 
 
 def q_merge_intervals(sf_dir: str):
@@ -1437,30 +934,6 @@ def q_merge_intervals(sf_dir: str):
 
     return joins.partitioned_map(ev, ["user_id"], islands,
                                  num_partitions=16, pre_repartition=False)
-
-
-def q_topk_per_cust(sf_dir: str):
-    """Generic distributed per-group top-k (`joins.group_topk`):
-    each customer's 3 priciest orders, ties broken by order key.
-    Per-block combiner keeps ≤k rows per (block, group) before the
-    shuffle, so the exchange never moves the full orders table."""
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    top = joins.group_topk(
-        orders, ["o_custkey"],
-        [("o_totalprice", False), ("o_orderkey", True)],
-        k=3, num_partitions=32,
-    )
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_custkey": df["o_custkey"],
-                "o_orderkey": df["o_orderkey"],
-                "price_cents": _round_half_away(df["o_totalprice"] * 100),
-            }
-        )
-
-    return top.map_batches(fin, batch_format="pandas")
 
 
 # int64 headroom bound for the rolling-window composite key (sum of
@@ -1684,63 +1157,6 @@ def q_cell_pyramid(sf_dir: str):
     return out
 
 
-def q_brand_supplier_cnt(sf_dir: str):
-    """Count-DISTINCT after a join (TPC-H Q16 shape): how many
-    distinct suppliers ship each part brand. The join attaches brand
-    via the size-probed `auto_join`; the distinct is the two-level
-    scale shape — per-block distinct (brand, supplier) combiner, one
-    pair-hash shuffle (`joins.distinct`), then a combiner-bounded
-    per-brand count. The exchange carries distinct pairs, never
-    lineitem rows."""
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    j = joins.auto_join(li, part, on="l_partkey", right_on="p_partkey")
-    pairs = joins.distinct(j, ["p_brand", "l_suppkey"], num_partitions=32)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("p_brand", as_index=False).size()
-        g["n_supp"] = g.pop("size").astype("int64")
-        return g
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("p_brand", as_index=False)["n_supp"].sum()
-        g["n_supp"] = g["n_supp"].astype("int64")
-        return g
-
-    return joins.grouped_agg(pairs, ["p_brand"], final,
-                             num_partitions=8, combine_fn=partial)
-
-
-def _brand_supplier_cnt_sql() -> str:
-    return """
-    SELECT p_brand, count(DISTINCT l_suppkey)::BIGINT AS n_supp
-    FROM lineitem JOIN part ON l_partkey = p_partkey
-    GROUP BY p_brand
-    """
-
-
-QUANTILE_QS = (0.01, 0.25, 0.5, 0.75, 0.99)
-
-
-def q_quantile_sketch(sf_dir: str):
-    """Mergeable approximate quantiles (`sketch.mp_quantile_sketch`,
-    deterministic Munro-Paterson) of lineitem extended price — the
-    fixed-memory streaming complement of the two EXACT quantile
-    paths (`group_quantiles`, `group_quantiles_dist`): one pass, no
-    shuffle at all, sketch persists/merges across windows. Rows-only
-    entry (approximate by design); the pytest bounds rank error
-    against exact quantiles on uniform and zipf data."""
-    from oluray.stages import sketch as sk
-
-    li = _read(sf_dir, "lineitem", ["l_extendedprice"])
-    s = sk.mp_quantile_sketch(li, "l_extendedprice", k=256)
-    est = sk.mp_quantile_query(s, QUANTILE_QS)
-    return pd.DataFrame({
-        "q_e6": (np.asarray(QUANTILE_QS) * 1e6).astype(np.int64),
-        "est": est,
-    })
-
-
 def q_embed_outliers(sf_dir: str):
     """Embedding-space outlier detection (the label-noise filter of
     curated training sets): top-5 vectors per label FARTHEST from
@@ -1898,113 +1314,6 @@ def _late_events_sql() -> str:
     SELECT event_id, user_id,
            date_diff('microsecond', ts, wm)::BIGINT AS late_us
     FROM m WHERE wm > ts
-    """
-
-
-def q_track_poly_cross(sf_dir: str):
-    """Trajectory x area join: which per-user track SEGMENTS touch
-    which changeset polygons (cross the boundary or have an endpoint
-    inside) — the moving-object counterpart of `pip_join`. Segments
-    are built per user-hash partition (one sort + one shift, the
-    `track_length` shape); the tiny polygon window is closed over
-    every batch (the reference holds its whole merged diff in one
-    heap, `src/osm/OsmChangeHandler.cpp:56-72`) with a vectorized
-    bbox prefilter before the exact edge-orientation tests
-    (`geo.segments_cross_ring`) and endpoint ray-casts. At scale the
-    polygon side rides `ray.put` and a cell-cover prefilter
-    (`spatial.pip_join`'s index) — segments stream, bytes never
-    move."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def segs(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.array([], dtype="int64"),
-            "seg_id": pd.array([], dtype="int64"),
-            "x1": pd.array([], dtype="float64"),
-            "y1": pd.array([], dtype="float64"),
-            "x2": pd.array([], dtype="float64"),
-            "y2": pd.array([], dtype="float64"),
-        })
-        if len(df) < 2:
-            return empty
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort").reset_index(drop=True)
-        lon, lat = geo.derive_lonlat(df["event_id"].to_numpy())
-        same = df["user_id"].to_numpy()[1:] == df["user_id"].to_numpy()[:-1]
-        if not same.any():
-            return empty
-        return pd.DataFrame({
-            "user_id": df["user_id"].to_numpy()[:-1][same],
-            "seg_id": df["event_id"].to_numpy()[:-1][same],
-            "x1": lon[:-1][same], "y1": lat[:-1][same],
-            "x2": lon[1:][same], "y2": lat[1:][same],
-        })
-
-    seg_ds = joins.partitioned_map(ev, ["user_id"], segs, 32,
-                                   pre_repartition=False)
-    polys = [(pid, np.asarray(rx), np.asarray(ry),
-              geo.polygon_bbox(np.asarray(rx), np.asarray(ry)))
-             for pid, (rx, ry) in PIP_POLYS.items()]
-
-    def hits(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "seg_id": pa.array([], pa.int64()),
-                             "poly_id": pa.array([], pa.int64())})
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        sid = t["seg_id"].to_numpy(zero_copy_only=False)
-        x1 = t["x1"].to_numpy(zero_copy_only=False)
-        y1 = t["y1"].to_numpy(zero_copy_only=False)
-        x2 = t["x2"].to_numpy(zero_copy_only=False)
-        y2 = t["y2"].to_numpy(zero_copy_only=False)
-        out_u, out_s, out_p = [], [], []
-        for pid, rx, ry, (bx0, by0, bx1, by1) in polys:
-            # bbox prefilter: segment bbox must overlap poly bbox
-            cand = ~((np.maximum(x1, x2) < bx0) | (np.minimum(x1, x2) > bx1)
-                     | (np.maximum(y1, y2) < by0) | (np.minimum(y1, y2) > by1))
-            if not cand.any():
-                continue
-            ci = np.nonzero(cand)[0]
-            hit = geo.segments_cross_ring(x1[ci], y1[ci], x2[ci], y2[ci],
-                                          rx, ry)
-            hit |= geo.point_in_polygon(x1[ci], y1[ci], rx, ry)
-            hit |= geo.point_in_polygon(x2[ci], y2[ci], rx, ry)
-            sel = ci[hit]
-            out_u.append(uid[sel])
-            out_s.append(sid[sel])
-            out_p.append(np.full(len(sel), pid, dtype=np.int64))
-        if not out_u:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "seg_id": pa.array([], pa.int64()),
-                             "poly_id": pa.array([], pa.int64())})
-        return pa.table({"user_id": pa.array(np.concatenate(out_u)),
-                         "seg_id": pa.array(np.concatenate(out_s)),
-                         "poly_id": pa.array(np.concatenate(out_p))})
-
-    return seg_ds.map_batches(hits, batch_format="pyarrow")
-
-
-def _track_poly_cross_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("event_id")
-    parts = []
-    for pid, (rx, ry) in PIP_POLYS.items():
-        cross = geo.seg_cross_sql_expr(rx, ry, "x1", "y1", "x2", "y2")
-        pip1 = geo.pip_sql_expr(rx, ry, "x1", "y1")
-        pip2 = geo.pip_sql_expr(rx, ry, "x2", "y2")
-        parts.append(
-            f"SELECT user_id, seg_id, {pid} AS poly_id FROM s"
-            f" WHERE {cross} OR {pip1} OR {pip2}"
-        )
-    union = " UNION ALL ".join(parts)
-    return f"""
-    WITH s AS (
-      SELECT user_id, event_id AS seg_id,
-             {lon} AS x1, {lat} AS y1,
-             lead({lon}) OVER w AS x2, lead({lat}) OVER w AS y2
-      FROM events
-      WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-      QUALIFY x2 IS NOT NULL)
-    {union}
     """
 
 
@@ -2369,31 +1678,6 @@ def _focal_mean_sql() -> str:
     """
 
 
-def q_sessionize(sf_dir: str):
-    """Session windows (30-min inactivity gap) per user: one row per
-    session with start ts + event count. Ordered-log pattern:
-    groupby(user).map_groups over (ts, event_id)-sorted events."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def sessions(df: pd.DataFrame) -> pd.DataFrame:
-        # whole-partition vectorized sessionization: one sort, one
-        # cumsum over (new-user | gap) breaks, one C groupby
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        new_user = df["user_id"].ne(df["user_id"].shift())
-        gap = df["ts"].diff() > pd.Timedelta(minutes=30)
-        sess = (new_user | gap).cumsum()
-        out = df.groupby(sess).agg(
-            user_id=("user_id", "first"),
-            session_start=("ts", "min"),
-            n=("event_id", "size"),
-        )
-        out["n"] = out["n"].astype("int64")
-        return out[["user_id", "session_start", "n"]].reset_index(drop=True)
-
-    return joins.partitioned_map(ev, ["user_id"], sessions, num_partitions=32,
-                                 pre_repartition=False)  # map-lineage input
-
-
 def q_ttl_filter(sf_dir: str):
     """S8/M10-M12/ST2 (the reference's TTL triple layer,
     `src/util/TtlHelper.cpp` + `filterRelevantTriples` in
@@ -2681,92 +1965,6 @@ def q_doc_repetition(sf_dir: str):
                                      ["doc_id", "text"]))
 
 
-def q_cosine_pairs(sf_dir: str):
-    """Embedding-cosine near-duplicate pairs (rows-only; LSH-bucketed
-    with exact within-bucket verify)."""
-    # threshold 0.3: the synthetic embeddings are near-orthogonal
-    # random vectors, so a production-style 0.95 threshold matches
-    # nothing — 0.3 (~2.4 sigma for 64 dims) yields a real pair set
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ann.cosine_near_dup_pairs(emb, threshold=0.3, n_bits=3, concurrency=4)
-
-
-def q_audio_features(sf_dir: str):
-    """Audio feature extraction over a synthesized WAV column
-    (rows-only): real RIFF/WAVE PCM16 decode -> rms/zcr/clipping."""
-    from oluray.functions import mediacodec
-    from oluray.stages.media import AudioFeatures
-
-    docs = _read(sf_dir, "documents", ["doc_id"])
-
-    def synth(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        blobs = []
-        for i in ids:
-            rng = np.random.default_rng(int(i))
-            t = np.arange(1600)
-            freq = 100 + (int(i) % 37) * 20
-            s = 12000 * np.sin(2 * np.pi * freq * t / 16000)
-            s += 2000 * rng.standard_normal(1600)
-            blobs.append(
-                mediacodec.encode_wav(np.clip(s, -32768, 32767).astype(np.int16))
-            )
-        return pa.table(
-            {"audio_id": pa.array(ids.astype(np.int64)),
-             "bytes": pa.array(blobs, pa.binary())}
-        )
-
-    audio = docs.map_batches(synth, batch_format="pyarrow", batch_size=256)
-    return audio.map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 4),
-    )
-
-
-def q_frame_sample(sf_dir: str):
-    """Video frame sampling over a synthesized frame-container column
-    (rows-only): probe + uniform-stride slice, 3 frames per clip."""
-    from oluray.functions import mediacodec
-    from oluray.functions.imagecodec import encode
-    from oluray.sources import fixtures
-    from oluray.stages.media import FrameSample
-
-    docs = _read(sf_dir, "documents", ["doc_id"])
-
-    def synth(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        blobs = []
-        for i in ids:
-            n_frames = 4 + int(i) % 5
-            frames = [
-                encode(fixtures._pixels(int(i) * 100 + f, 8, 8, 42), "png")
-                for f in range(n_frames)
-            ]
-            blobs.append(mediacodec.encode_fakevideo(frames, fps=10))
-        return pa.table(
-            {"video_id": pa.array(ids.astype(np.int64)),
-             "bytes": pa.array(blobs, pa.binary())}
-        )
-
-    vids = docs.map_batches(synth, batch_format="pyarrow", batch_size=128)
-    return vids.map_batches(
-        FrameSample, fn_constructor_kwargs=dict(n_frames=3),
-        batch_format="pyarrow", batch_size=128, concurrency=(1, 4),
-    )
-
-
-def q_thumbnails(sf_dir: str):
-    """Multimodal resize stage over synthesized images (rows-only):
-    decode -> nearest-neighbor 16x16 -> re-encode PNG."""
-    from oluray.stages.image import Resize
-
-    images = _synth_images(sf_dir)
-    return images.map_batches(
-        Resize, fn_constructor_kwargs=dict(out_w=16, out_h=16),
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 4),
-    )
-
-
 # ---------------------------------------------------------------------------
 # SQL oracles
 # ---------------------------------------------------------------------------
@@ -2824,23 +2022,6 @@ def _tile_cover_sql() -> str:
     FROM (SELECT s_suppkey, {x0} AS xa, {x1} AS xb, {y0} AS ya, {y1} AS yb FROM supplier),
          LATERAL (SELECT unnest(generate_series(xa, xb)) AS x) tx,
          LATERAL (SELECT unnest(generate_series(ya, yb)) AS y) ty
-    """
-
-
-def _ann_sql() -> str:
-    q_ids = ", ".join(str(i) for i in ANN_QUERY_IDS)
-    return f"""
-    SELECT query_id, vec_id, rank, sim FROM (
-      SELECT q.vec_id AS query_id, e.vec_id AS vec_id,
-             round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6)::DOUBLE AS sim,
-             row_number() OVER (
-               PARTITION BY q.vec_id
-               ORDER BY list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]) DESC,
-                        e.vec_id ASC
-             ) AS rank
-      FROM embeddings q CROSS JOIN embeddings e
-      WHERE q.vec_id IN ({q_ids})
-    ) WHERE rank <= {ANN_K}
     """
 
 
@@ -2946,94 +2127,6 @@ _EDGES_CTE = """
 """
 
 
-def q_cc_labels(sf_dir: str):
-    """Distributed connected components, oracle-verified: label every
-    endpoint of the interaction graph with its component's minimum
-    user id via `joins.connected_components` — the hash-min
-    label-propagation loop that replaced round 2's driver union-find.
-    The DuckDB oracle computes the same labels with a recursive
-    reachability CTE, upgrading the CC machinery from rows-only to
-    hash-exact verification."""
-    e = _interaction_edges(sf_dir)
-    return joins.connected_components(e, "a", "b", num_partitions=32)
-
-
-def q_group_quantiles(sf_dir: str):
-    """Exact per-group discrete quantiles (q25/q50/q75 picked at index
-    floor(q*(n-1)) of the sorted values) over events.value by
-    event_type. Holistic aggregate: one hash partition per group key,
-    one vectorized sort per group — the same one-group-fits-a-worker
-    assumption DuckDB's list() oracle makes. For group values beyond
-    worker memory the scale path is `q_group_quantiles_dist`
-    (distributed histogram-refine selection, same oracle)."""
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-
-    def quant(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, g in part.groupby("event_type", sort=False):
-            v = np.sort(g["value"].to_numpy(np.float64))
-            n = len(v)
-            idx = [int(np.floor(q * (n - 1))) for q in (0.25, 0.5, 0.75)]
-            rows.append((et, n, v[idx[0]], v[idx[1]], v[idx[2]]))
-        return pd.DataFrame(rows, columns=["event_type", "n", "q25", "q50", "q75"])
-
-    return joins.grouped_agg(ev, ["event_type"], quant, num_partitions=8,
-                             pre_repartition=False)
-
-
-def q_group_quantiles_dist(sf_dir: str):
-    """The SAME exact quantiles as `q_group_quantiles`, computed by
-    the scale path: `quantiles.group_quantiles_exact` — iterative
-    distributed histogram-refine selection where no worker ever holds
-    a group's values (tiny collect_threshold forces real refine
-    rounds + the distributed final pick even at sf0.01). Verifying it
-    against the identical DuckDB oracle proves the selection loop
-    exact, not approximate."""
-    from oluray.stages.quantiles import group_quantiles_exact
-
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    longf = group_quantiles_exact(
-        ev, "event_type", "value", qs=(0.25, 0.5, 0.75),
-        branch=16, collect_threshold=32, num_partitions=8,
-    )
-    wide = longf.pivot_table(
-        index=["event_type", "n"], columns="q", values="value"
-    ).reset_index()
-    wide.columns = ["event_type", "n", "q25", "q50", "q75"]
-    return wide
-
-
-def q_stratified_sample(sf_dir: str):
-    """Deterministic stratified sampling: the 10 documents per `lang`
-    stratum with the smallest multiplicative hash h = (doc_id *
-    2654435761) mod 2^32 (Knuth) — a reproducible uniform sample both
-    engines can rank identically. `joins.group_topk` supplies the
-    per-block top-10 combiner that bounds the shuffle at 10 rows per
-    (block, lang)."""
-    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
-
-    def with_h(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy(deep=False)
-        df["h"] = (df["doc_id"].to_numpy(np.int64) * 2654435761) % 4294967296
-        return df
-
-    return joins.group_topk(
-        docs.map_batches(with_h, batch_format="pandas"),
-        ["lang"], [("h", True), ("doc_id", True)], k=10, num_partitions=8,
-    )
-
-
-def q_length_deciles(sf_dir: str):
-    """Curriculum / quality-mix bucketing (`joins.group_ntile`): split
-    each language's corpus into 10 length deciles — exact SQL NTILE
-    semantics (first n%k tiles one row larger), doc_id tie-break."""
-    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    return joins.group_ntile(
-        docs, ["lang"], [("n_chars", True), ("doc_id", True)],
-        k=10, num_partitions=16,
-    )
-
-
 def q_hll_users(sf_dir: str):
     """Approximate COUNT(DISTINCT user_id) over events via the
     HyperLogLog sketch (`sketch.hll_registers`): one streaming scan,
@@ -3046,106 +2139,6 @@ def q_hll_users(sf_dir: str):
     return pd.DataFrame(
         {"distinct_users_est": [sketch.hll_count(ev, "user_id", p=12)]}
     )
-
-
-def q_hll_group_users(sf_dir: str):
-    """Per-group approximate COUNT(DISTINCT): distinct users per
-    event type via mergeable per-group HLL register blobs
-    (`sketch.hll_count_by_group`) — the shuffle moves one 4 KiB
-    sketch per (block, group), never the key stream. Rows-only by
-    design (approximate); pytest bounds per-group error vs exact."""
-    from oluray.stages import sketch
-
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
-    return sketch.hll_count_by_group(ev, ["event_type"], "user_id", p=12)
-
-
-def q_bucketed_join(sf_dir: str):
-    """Shuffle-free bucketed join (`io.write_bucketed` +
-    `io.bucketed_join`): customers and nations each written
-    hash-bucketed on the nation key to scratch, then joined with zero
-    exchange — each task reads one bucket of both sides. The bucketing
-    shuffle is paid at write time; every later join on the key is
-    free."""
-    import tempfile
-
-    from oluray.sources import io as olio
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-    d = tempfile.mkdtemp(prefix="oluray_bkt_")
-    olio.write_bucketed(cust, f"{d}/cust", key="c_nationkey", n_buckets=8)
-    olio.write_bucketed(nat, f"{d}/nat", key="n_nationkey", n_buckets=8)
-    out = olio.bucketed_join(f"{d}/cust", f"{d}/nat")
-    return out.select_columns(["c_custkey", "c_nationkey", "n_name"])
-
-
-def q_snapshot_diff(sf_dir: str):
-    """Snapshot diff — derive an OsmChange-style change set FROM two
-    table versions (`diff.snapshot_diff`, the inverse of
-    `apply_update`): synthetic old/new order snapshots (ids dropped by
-    modulus, cents bumped for id%3==0) → (key, create|delete|modify)
-    rows via one outer hash join, no broadcast."""
-    from oluray.stages import diff as diffs
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-
-    def old_f(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(k % 11 != 0))
-        cents = _round_half_away(t["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "cents": pa.array(cents)})
-
-    def new_f(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(k % 13 != 0))
-        k2 = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        cents = _round_half_away(t["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100) + (k2 % 3 == 0)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "cents": pa.array(cents.astype(np.int64))})
-
-    sch = pa.schema([("o_orderkey", pa.int64()), ("cents", pa.int64())])
-    return diffs.snapshot_diff(
-        orders.map_batches(old_f, batch_format="pyarrow"),
-        orders.map_batches(new_f, batch_format="pyarrow"),
-        key="o_orderkey", cmp_cols=["cents"], num_partitions=16,
-        old_schema=sch, new_schema=sch,
-    )
-
-
-def q_status_pivot(sf_dir: str):
-    """PIVOT via conditional aggregation: per customer, order counts
-    spread into one column per o_orderstatus value ('O','F','P') —
-    the wide-table reshape a feature store wants. One pass: the
-    per-block combiner crosstabs counts (rows ~ distinct customers
-    per block x 1), then a hash-partitioned sum."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-    STATUSES = ("O", "F", "P")
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        ct = (
-            df.groupby(["o_custkey", "o_orderstatus"], sort=False)
-            .size().unstack(fill_value=0)
-        )
-        out = pd.DataFrame({"o_custkey": ct.index.to_numpy()})
-        for s in STATUSES:
-            out[f"n_{s}"] = (
-                ct[s].to_numpy(dtype=np.int64) if s in ct.columns
-                else np.zeros(len(ct), dtype=np.int64)
-            )
-        return out
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False).sum()
-        for s in STATUSES:
-            g[f"n_{s}"] = g[f"n_{s}"].astype("int64")
-        return g
-
-    return joins.grouped_agg(orders, ["o_custkey"], agg, num_partitions=16,
-                             combine_fn=combine, pre_repartition=False)
 
 
 def q_sales_rollup(sf_dir: str):
@@ -3198,56 +2191,6 @@ def q_sales_rollup(sf_dir: str):
         li, ["l_returnflag", "l_linestatus"], agg, num_partitions=8,
         combine_fn=combine, pre_repartition=False,
     )
-
-
-def q_curriculum_sample(sf_dir: str):
-    """Curriculum sampling — the two r3 operators COMPOSED: split each
-    language into 5 length quintiles (`joins.group_ntile`), then take
-    a deterministic 2-doc sample per (lang, tile) stratum
-    (`joins.group_topk` by Knuth hash). The shape of a quality-mixed
-    training-data draw: uniform coverage across the length spectrum
-    of every language."""
-    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tiled = joins.group_ntile(
-        docs, ["lang"], [("n_chars", True), ("doc_id", True)],
-        k=5, num_partitions=16,
-    )
-
-    def with_h(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy(deep=False)
-        df["h"] = (df["doc_id"].to_numpy(np.int64) * 2654435761) % 4294967296
-        return df
-
-    return joins.group_topk(
-        tiled.map_batches(with_h, batch_format="pandas"),
-        ["lang", "tile"], [("h", True), ("doc_id", True)],
-        k=2, num_partitions=16,
-    )
-
-
-def q_vocab_df(sf_dir: str):
-    """Corpus vocabulary with document + collection frequency
-    (`text.vocab_stats`): per-block (term, df, cf) combiner, term-hash
-    shuffle of count rows only."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return text.vocab_stats(docs, num_partitions=32)
-
-
-def q_tfidf_topk(sf_dir: str):
-    """Top-3 terms per document by tf/df (monotone tf-idf surrogate
-    with bit-reproducible float ordering), term tie-break
-    (`text.tfidf_topk`): map-side tf ⋈ hash-partitioned df, then a
-    doc-partitioned top-k."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return text.tfidf_topk(docs, k=3, num_partitions=32)
-
-
-def q_contamination(sf_dir: str):
-    """Benchmark-contamination scan (`text.contamination`): distinct
-    word-trigram shingles of train docs semi-joined against the eval
-    split's shingle set (doc_id % 97 == 0), counted per train doc."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return text.contamination(docs, eval_mod=97, num_partitions=32)
 
 
 def q_track_length(sf_dir: str):
@@ -3424,72 +2367,6 @@ def q_full_outer(sf_dir: str):
     return out.map_batches(fill, batch_format="pandas")
 
 
-def q_props_k_stats(sf_dir: str):
-    """JSON field extraction + aggregate: pull `k` out of the events
-    `props` JSON string with ONE vectorized regex (C-level, compiled
-    once per batch fn), aggregate per event_type. The parse happens
-    map-side next to the read — only (event_type, k) ever leaves the
-    scan, never the JSON strings."""
-    ev = _read(sf_dir, "events", ["event_type", "props"])
-
-    def extract(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["props"].str.extract(r'"k": (\d+)', expand=False)
-        return pd.DataFrame({"event_type": df["event_type"],
-                             "k": k.astype("int64")})
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("event_type", as_index=False).agg(
-            n=("k", "size"), sum_k=("k", "sum"), max_k=("k", "max"))
-        for c in ("n", "sum_k", "max_k"):
-            g[c] = g[c].astype("int64")
-        return g
-
-    # event_type has ~5 distinct values: per-block combiner collapses
-    # each block to <=5 rows before the (tiny) shuffle
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["props"].str.extract(r'"k": (\d+)', expand=False).astype("int64")
-        g = pd.DataFrame({"event_type": df["event_type"], "k": k}).groupby(
-            "event_type", as_index=False).agg(
-            __n=("k", "size"), __s=("k", "sum"), __m=("k", "max"))
-        return g
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("event_type", as_index=False).agg(
-            n=("__n", "sum"), sum_k=("__s", "sum"), max_k=("__m", "max"))
-        for c in ("n", "sum_k", "max_k"):
-            g[c] = g[c].astype("int64")
-        return g
-
-    return joins.grouped_agg(ev, ["event_type"], finish, num_partitions=4,
-                             combine_fn=combine, pre_repartition=False)
-
-
-def q_semdedup(sf_dir: str):
-    """SemDeDup keep-set (`ann.semdedup_keep`): embedding-cluster
-    semantic dedup — cluster with the IVF quantizer, greedily keep
-    only vectors whose max cosine to lower-id kept vectors is below
-    tau. Rows-only (iterative greedy isn't SQL); brute-force pytest
-    covers exactness."""
-    # tau 0.35 (vs a production ~0.95): the synthetic embeddings are
-    # near-orthogonal random vectors (max pairwise cos ~0.51, see
-    # q_cosine_pairs), so a production threshold would drop nothing
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ann.semdedup_keep(emb, n_centroids=16, tau=0.35,
-                             sample_size=1024, num_partitions=8)
-
-
-def q_image_quality(sf_dir: str):
-    """Per-image blur/brightness/contrast over real decoded pixels
-    (`image.QualityStats`). Rows-only (pixel decode isn't SQL)."""
-    from oluray.stages.image import QualityStats
-
-    images = _synth_images(sf_dir)
-    return images.map_batches(
-        QualityStats, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 4),
-    ).select_columns(["image_id", "sharpness", "brightness", "contrast"])
-
-
 def q_channel_stats(sf_dir: str):
     """Corpus per-channel normalization constants
     (`image.ChannelMoments`): exact int64 pixel moments, each block
@@ -3528,78 +2405,10 @@ def q_channel_stats(sf_dir: str):
     return tot.map_batches(finish, batch_format="pandas")
 
 
-def q_regional_revenue(sf_dir: str):
-    """TPC-H Q5 shape — the star-schema denormalization pattern at
-    scale: the ONE big-big exchange is lineitem ⋈ orders on orderkey
-    (`joins.hash_join`, both sides moved once); every dimension hop
-    (customer, supplier, nation⋈region) rides `auto_join`, which
-    probes the dim size and broadcasts it map-side (`ray.put` once per
-    worker) instead of shuffling the fact table again. Revenue is
-    per-row rounded cents so the sum is order-independent."""
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"])
-    reg = _read(sf_dir, "region", ["r_regionkey", "r_name"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-
-    def only_asia(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["r_name"], pa.scalar("ASIA")))
-
-    asia = joins.auto_join(nat, reg.map_batches(only_asia,
-                                                batch_format="pyarrow"),
-                           on="n_regionkey", right_on="r_regionkey",
-                           num_partitions=4)
-
-    def odate(t: pa.Table) -> pa.Table:
-        d = t["o_orderdate"]
-        lo = pc.greater_equal(d, pa.scalar(np.datetime64("1994-01-01", "us")))
-        hi = pc.less(d, pa.scalar(np.datetime64("1996-01-01", "us")))
-        return t.filter(pc.and_(lo, hi)).select(["o_orderkey", "o_custkey"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dis = t["l_discount"].to_numpy(zero_copy_only=False)
-        c = _round_half_away(ext * (1.0 - dis) * 100.0)
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "l_suppkey": t["l_suppkey"],
-                         "cents": pa.array(c)})
-
-    fact = joins.hash_join(
-        li.map_batches(cents, batch_format="pyarrow"),
-        orders.map_batches(odate, batch_format="pyarrow"),
-        on="l_orderkey", right_on="o_orderkey", num_partitions=32)
-    fact = joins.auto_join(fact, cust, on="o_custkey", right_on="c_custkey",
-                           num_partitions=32)
-    fact = joins.auto_join(fact, sup, on="l_suppkey", right_on="s_suppkey",
-                           num_partitions=32)
-    def same_nation(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["c_nationkey"], t["s_nationkey"]))
-
-    fact = fact.map_batches(same_nation, batch_format="pyarrow")
-    fact = joins.auto_join(
-        fact, asia.select_columns(["n_nationkey", "n_name"]),
-        on="c_nationkey", right_on="n_nationkey", num_partitions=32)
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_name", as_index=False).agg(
-            revenue_cents=("cents", "sum"))
-        g["revenue_cents"] = g["revenue_cents"].astype("int64")
-        return g
-
-    return joins.grouped_agg(
-        fact.select_columns(["n_name", "cents"]), ["n_name"], agg,
-        num_partitions=4,
-        combine_fn=lambda df: df.groupby("n_name", as_index=False).agg(
-            cents=("cents", "sum")),
-        pre_repartition=False)
-
-
 def q_unpivot(sf_dir: str):
     """UNPIVOT (melt): the wide per-returnflag aggregate row becomes
-    one (flag, metric, value) row per measure — the inverse of
-    `status_pivot`, and entirely map-side after the tiny aggregate."""
+    one (flag, metric, value) row per measure — the inverse of a
+    pivot, and entirely map-side after the tiny aggregate."""
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"])
 
@@ -3952,34 +2761,6 @@ def _pairs_within_groups(df: pd.DataFrame, gcol: str, vcol: str) -> pd.DataFrame
     cum = np.concatenate(([0], np.cumsum(c)))
     right = left + 1 + (np.arange(total) - np.repeat(cum[:-1], c))
     return pd.DataFrame({"pa": v[left].astype(np.int64), "pb": v[right].astype(np.int64)})
-
-
-def q_basket_pairs(sf_dir: str):
-    """Market-basket pair mining: co-occurrence counts of part pairs
-    within an order, top-100 by (count desc, pa, pb). The classic
-    explode-quadratic op done scale-shaped: pair emission happens
-    inside an l_orderkey hash partition (pairs-per-order is bounded by
-    the order size squared, never the corpus), per-partition partial
-    counts collapse the pair stream before the (pa, pb) count shuffle,
-    and ranking is on integers."""
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    d = joins.distinct(li, ["l_orderkey", "l_partkey"], num_partitions=32)
-
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        pairs = _pairs_within_groups(df, "l_orderkey", "l_partkey")
-        g = pairs.groupby(["pa", "pb"], as_index=False).size()
-        return g.rename(columns={"size": "cnt"})
-
-    # distinct() is shuffle lineage — re-block so pair emission stays
-    # parallel (see partitioned_map docstring)
-    partial = joins.partitioned_map(d, ["l_orderkey"], emit, num_partitions=32)
-
-    def total(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["pa", "pb"], as_index=False)["cnt"].sum()
-
-    counts = joins.partitioned_map(partial, ["pa", "pb"], total, num_partitions=32,
-                                   pre_repartition=False)
-    return counts.sort(["cnt", "pa", "pb"], descending=[True, False, False]).limit(100)
 
 
 def _track_length_sql() -> str:
@@ -4923,51 +3704,6 @@ def _geohash_sql() -> str:
     """
 
 
-# integer PageRank over the supplier->part bipartite graph (node ids
-# disambiguated as 2*suppkey / 2*partkey+1). The oracle unrolls the
-# same power iteration as chained CTEs — every quantity int64/HUGEINT
-# with floor division, so the match is hash-exact with no float
-# tolerance (see joins.pagerank for the order-independence argument).
-PR_ITERS = 10
-PR_SCALE = 10**12
-
-
-def q_pagerank(sf_dir: str):
-    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"])
-
-    def as_edges(t: pa.Table) -> pa.Table:
-        s = pc.multiply(t["l_suppkey"], pa.scalar(2, pa.int64()))
-        p = pc.add(pc.multiply(t["l_partkey"], pa.scalar(2, pa.int64())),
-                   pa.scalar(1, pa.int64()))
-        return pa.table({"src": s, "dst": p})
-
-    e = li.map_batches(as_edges, batch_format="pyarrow")
-    return joins.pagerank(e, iters=PR_ITERS, scale=PR_SCALE,
-                          num_partitions=16)
-
-
-def _pagerank_sql() -> str:
-    dn, dd_ = 85, 100
-    base = PR_SCALE * (dd_ - dn) // dd_
-    ctes = [
-        ("e AS (SELECT DISTINCT l_suppkey*2 AS src, l_partkey*2+1 AS dst"
-         " FROM lineitem)"),
-        "nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e)",
-        "od AS (SELECT src, count(*)::BIGINT AS d FROM e GROUP BY src)",
-        f"r0 AS (SELECT node, {PR_SCALE}::BIGINT AS r FROM nodes)",
-    ]
-    for i in range(1, PR_ITERS + 1):
-        ctes.append(
-            f"r{i} AS (SELECT n.node, ({base}::BIGINT + "
-            f"COALESCE(SUM((r.r * {dn} // {dd_}) // od.d), 0))::BIGINT AS r"
-            f" FROM nodes n LEFT JOIN e ON e.dst = n.node"
-            f" LEFT JOIN r{i - 1} r ON r.node = e.src"
-            f" LEFT JOIN od ON od.src = e.src GROUP BY n.node)"
-        )
-    return ("WITH " + ",\n".join(ctes)
-            + f"\nSELECT node, r FROM r{PR_ITERS}")
-
-
 # origin->destination flow matrix: each user's first and last ping
 # cell (ordered by ts, event_id), counted per (o_cell, d_cell) pair —
 # the standard mobility rollup over the same cell grid the tiling
@@ -5889,49 +4625,6 @@ TRACK_DIV = 500.0
 HAUS_TAU_M = 1_000_000.0  # 1000 km
 
 
-def _event_tracks(sf_dir: str):
-    """Per-user anchored tracks (tid, lons, lats) — the shared input
-    of the trajectory-similarity joins."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def build(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"tid": pd.Series([], dtype="int64"),
-                                 "lons": pd.Series([], dtype="object"),
-                                 "lats": pd.Series([], dtype="object")})
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort").reset_index(drop=True)
-        df = df.groupby("user_id", sort=True).head(TRACK_K)
-        alon, alat = geo.derive_lonlat(df["user_id"].to_numpy(np.int64))
-        olon, olat = geo.derive_lonlat(df["event_id"].to_numpy(np.int64))
-        lon = alon + olon / TRACK_DIV
-        lat = alat + olat / TRACK_DIV
-        uid = df["user_id"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        return pd.DataFrame({
-            "tid": uid[starts],
-            "lons": np.split(lon, starts[1:]),
-            "lats": np.split(lat, starts[1:])})
-
-    return joins.partitioned_map(ev, ["user_id"], build,
-                                 num_partitions=16, pre_repartition=False)
-
-
-def q_track_hausdorff(sf_dir: str):
-    return spatial.hausdorff_self_join(_event_tracks(sf_dir), HAUS_TAU_M,
-                                       id_col="tid", num_partitions=16)
-
-
-def q_track_frechet(sf_dir: str):
-    """Order-aware trajectory similarity: discrete Frechet (coupling)
-    distance pairs within HAUS_TAU_M. Rows-only — the DP recurrence
-    isn't SQL; verified against a pure-Python reference DP in pytest
-    (tests/test_hausdorff.py). Frechet >= Hausdorff, so this is
-    always a subset of `track_hausdorff`'s pairs at the same tau."""
-    return spatial.frechet_self_join(_event_tracks(sf_dir), HAUS_TAU_M,
-                                     id_col="tid", num_partitions=16)
-
-
 def _track_hausdorff_parts() -> tuple[str, str]:
     """(cte_block, final_select) — split so `_track_clusters_sql` can
     extend the same chain with a recursive min-label closure."""
@@ -5966,28 +4659,6 @@ def _track_hausdorff_parts() -> tuple[str, str]:
     WHERE round(greatest(h1.h, h2.h) * 1000.0, 0)::BIGINT <= {tau_mm}
     """
     return ctes, final
-
-
-def _track_hausdorff_sql() -> str:
-    ctes, final = _track_hausdorff_parts()
-    return f"WITH {ctes} {final}"
-
-
-def q_track_clusters(sf_dir: str):
-    """Trajectory clustering: connected components over the symmetric-
-    Hausdorff similarity graph (`track_hausdorff` pairs as edges) —
-    the DBSCAN-style "group users who move alike" step. Only users
-    with at least one within-tau partner get a row; cluster_id is the
-    component's min user_id (the same min-label contract as
-    `cc_labels`). Everything downstream of the pair join is the
-    frontier-contracting distributed CC — the driver sees only
-    per-round edge counts."""
-    pairs = q_track_hausdorff(sf_dir)
-    labels = joins.connected_components(
-        pairs, a_col="u1", b_col="u2", num_partitions=16)
-    return labels.map_batches(
-        lambda t: t.rename_columns(["user_id", "cluster_id"]),
-        batch_format="pyarrow")
 
 
 def _track_clusters_sql() -> str:
@@ -6061,74 +4732,6 @@ def q_raster_blobs(sf_dir: str):
         make_tiles, batch_format="pyarrow", batch_size=8)
     return raster.blob_labels(tiles, RAST_TILE, RAST_TILE, RAST_GW,
                               num_partitions=8)
-
-
-# KDE heat-splat rendering: every event point splats an integer
-# Epanechnikov-style kernel (w = R2 - dx^2 - dy^2 where positive)
-# onto its 7x7 grid neighborhood; per-cell heat = exact integer sum.
-# The rasterization step of a density heatmap layer: replicate-by-
-# stencil is bounded (<= 45 tiny rows per point, combined per block
-# BEFORE the shuffle, so the exchange carries distinct-cell partials,
-# not point fan-out). No antimeridian wrap (matches the SQL exactly).
-KDE_RES = 6   # 64 x 64 grid
-KDE_K = 3
-KDE_R2 = 16
-
-_kde_dy, _kde_dx = np.mgrid[-KDE_K:KDE_K + 1, -KDE_K:KDE_K + 1]
-_kde_w = KDE_R2 - _kde_dx ** 2 - _kde_dy ** 2
-_KDE_DX = _kde_dx[_kde_w > 0].astype(np.int64)
-_KDE_DY = _kde_dy[_kde_w > 0].astype(np.int64)
-_KDE_W = _kde_w[_kde_w > 0].astype(np.int64)
-
-
-def q_kde_heat(sf_dir: str):
-    ev = _read(sf_dir, "events", ["event_id"])
-    pts = _with_points(ev, "event_id")
-    n = 1 << KDE_RES
-
-    def splat(t: pa.Table) -> pa.Table:
-        cell = geo.cell_encode(
-            t["lon"].to_numpy(zero_copy_only=False),
-            t["lat"].to_numpy(zero_copy_only=False), KDE_RES)
-        _, x, y = geo.cell_decode(cell)
-        tx = (x[:, None] + _KDE_DX[None, :]).ravel()
-        ty = (y[:, None] + _KDE_DY[None, :]).ravel()
-        ww = np.broadcast_to(_KDE_W, (len(x), len(_KDE_W))).ravel()
-        ok = (tx >= 0) & (tx < n) & (ty >= 0) & (ty < n)
-        key = tx[ok] * n + ty[ok]
-        uk, inv = np.unique(key, return_inverse=True)
-        heat = np.bincount(inv, weights=ww[ok]).astype(np.int64)
-        return pa.table({"gx": pa.array(uk // n), "gy": pa.array(uk % n),
-                         "heat": pa.array(heat)})
-
-    partials = pts.map_batches(splat, batch_format="pyarrow")
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["gx", "gy"], as_index=False)["heat"].sum()
-        return g.astype("int64")
-
-    return joins.grouped_agg(partials, ["gx", "gy"], fin,
-                             num_partitions=16, pre_repartition=False)
-
-
-def _kde_heat_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("event_id")
-    xs, ys = geo.cell_xy_sql(lon, lat, KDE_RES)
-    n = 1 << KDE_RES
-    return f"""
-    WITH pts AS (SELECT {xs} AS x, {ys} AS y FROM events),
-    offs AS (
-      SELECT dx.range::BIGINT AS dx, dy.range::BIGINT AS dy,
-             ({KDE_R2} - dx.range * dx.range
-                       - dy.range * dy.range)::BIGINT AS w
-      FROM range(-{KDE_K}, {KDE_K + 1}) dx, range(-{KDE_K}, {KDE_K + 1}) dy
-      WHERE {KDE_R2} - dx.range * dx.range - dy.range * dy.range > 0)
-    SELECT p.x + o.dx AS gx, p.y + o.dy AS gy, sum(o.w)::BIGINT AS heat
-    FROM pts p CROSS JOIN offs o
-    WHERE p.x + o.dx BETWEEN 0 AND {n - 1}
-      AND p.y + o.dy BETWEEN 0 AND {n - 1}
-    GROUP BY 1, 2
-    """
 
 
 # non-max suppression over synthetic per-image detection boxes: the
@@ -6213,99 +4816,6 @@ def q_nms_boxes(sf_dir: str):
 
     return joins.partitioned_map(boxes, ["doc_id"], nms,
                                  num_partitions=16, pre_repartition=False)
-
-
-# spatio-temporal co-location join ("contact" pairs): user pairs
-# with events in the SAME grid cell within COLOC_DT_US of each other,
-# counted per pair. The bucketed two-sided shape: each event lands
-# home in its (cell, t // W) partition and as a GHOST in the previous
-# bucket; same-bucket pairs form home x home (event-id order), cross-
-# bucket pairs form home x ghost — exactly once, with W = DT so two
-# buckets always cover the window. Partition key is (cell, bucket):
-# a hot cell-bucket is one fat merge; growth path is the same hot-key
-# split as distance_self_join. Counts pre-combine per partition
-# before the (u1, u2) aggregate.
-COLOC_RES = 4                      # 16 x 16 grid
-COLOC_DT_US = 8 * 3_600_000_000    # 8 h window
-
-
-def q_colocation_pairs(sf_dir: str):
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    W = COLOC_DT_US
-
-    def expand(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (t["ts"].to_pandas().astype("datetime64[us]")
-              .astype("int64").to_numpy())
-        lon, lat = geo.derive_lonlat(eid)
-        cell = geo.cell_encode(lon, lat, COLOC_RES)
-        bucket = ts // W
-        return pa.table({
-            "cell": pa.array(np.concatenate([cell, cell])),
-            "bucket": pa.array(np.concatenate([bucket, bucket - 1])),
-            "uid": pa.array(np.concatenate([uid, uid])),
-            "eid": pa.array(np.concatenate([eid, eid])),
-            "t": pa.array(np.concatenate([ts, ts])),
-            "ghost": pa.array(np.concatenate([
-                np.zeros(len(eid), bool), np.ones(len(eid), bool)]))})
-
-    rows = ev.map_batches(expand, batch_format="pyarrow")
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"u1": pd.Series([], dtype="int64"),
-                              "u2": pd.Series([], dtype="int64"),
-                              "n_coloc": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
-        home = df[~df["ghost"]]
-        if len(home) == 0:
-            return empty
-        m = home.merge(df, on=["cell", "bucket"], suffixes=("_a", "_b"))
-        keep = ((np.abs(m["t_a"].to_numpy() - m["t_b"].to_numpy())
-                 <= COLOC_DT_US)
-                & (m["uid_a"].to_numpy() != m["uid_b"].to_numpy())
-                & (m["ghost_b"].to_numpy()
-                   | (m["eid_a"].to_numpy() < m["eid_b"].to_numpy())))
-        m = m[keep]
-        if len(m) == 0:
-            return empty
-        ua = m["uid_a"].to_numpy()
-        ub = m["uid_b"].to_numpy()
-        g = pd.DataFrame({"u1": np.minimum(ua, ub),
-                          "u2": np.maximum(ua, ub)})
-        out = g.groupby(["u1", "u2"], as_index=False).size()
-        return out.rename(columns={"size": "n_coloc"}).astype("int64")
-
-    partial = joins.partitioned_map(rows, ["cell", "bucket"], pairs,
-                                    num_partitions=16,
-                                    pre_repartition=False)
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["u1", "u2"], as_index=False)["n_coloc"]
-                .sum().astype("int64"))
-
-    return joins.grouped_agg(partial, ["u1", "u2"], fin,
-                             num_partitions=16, pre_repartition=False)
-
-
-def _colocation_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("event_id")
-    cell = geo.cell_encode_sql(lon, lat, COLOC_RES)
-    return f"""
-    WITH pts AS (
-      SELECT user_id, event_id, {cell} AS cell,
-             epoch_us(ts)::BIGINT AS t
-      FROM events)
-    SELECT least(a.user_id, b.user_id) AS u1,
-           greatest(a.user_id, b.user_id) AS u2,
-           count(*)::BIGINT AS n_coloc
-    FROM pts a JOIN pts b
-      ON a.cell = b.cell AND a.event_id < b.event_id
-     AND a.user_id <> b.user_id
-     AND abs(a.t - b.t) <= {COLOC_DT_US}
-    GROUP BY 1, 2
-    """
 
 
 # robust outlier flags via MAD (median absolute deviation): per-group
@@ -7400,235 +5910,6 @@ def _idw_sql() -> str:
 # ---------------------------------------------------------------------------
 
 
-def q_bloom_join(sf_dir: str):
-    """Bloom-prefiltered distributed semi-join (the shuffle-shrinking
-    runtime filter): order count + revenue per priority over orders
-    whose customer is in the AUTOMOBILE segment. Routed through
-    `joins.semi_join(bloom_bits=...)`: a Bloom filter built over the
-    key lineage drops definite non-matches MAP-SIDE, before the hash
-    exchange, so the shuffle moves ~|matches| + false positives
-    instead of |orders|; the partition-local exact `isin` removes the
-    false positives, so the result is exact — the oracle is the plain
-    IN-subquery. At 100 TB this is the difference between shuffling
-    the full fact table and shuffling the (usually tiny) hit set."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    keys = cust.map_batches(
-        lambda t: t.filter(pc.equal(t["c_mktsegment"], "AUTOMOBILE")),
-        batch_format="pyarrow",
-    ).select_columns(["c_custkey"])
-    orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderpriority", "o_totalprice"])
-    hit = joins.semi_join(orders, keys, "o_custkey", key_col="c_custkey",
-                          num_partitions=16, bloom_bits=1 << 18)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "o_orderpriority": pd.array([], dtype="str"),
-                "n": pd.array([], dtype="int64"),
-                "sum_cents": pd.array([], dtype="int64")})
-        cents = _round_half_away(df["o_totalprice"].to_numpy() * 100.0)
-        g = df.assign(cents=cents).groupby(
-            "o_orderpriority", as_index=False).agg(
-            n=("cents", "size"), sum_cents=("cents", "sum"))
-        g["n"] = g["n"].astype("int64")
-        g["sum_cents"] = g["sum_cents"].astype("int64")
-        return g
-
-    part1 = hit.map_batches(partial, batch_format="pandas",
-                            batch_size=65536)
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            n=("n", "sum"), sum_cents=("sum_cents", "sum"))
-        g["n"] = g["n"].astype("int64")
-        g["sum_cents"] = g["sum_cents"].astype("int64")
-        return g
-
-    return joins.grouped_agg(part1, ["o_orderpriority"], fin,
-                             num_partitions=8, pre_repartition=False)
-
-
-MORAN_RES = 5
-
-
-def q_morans_i(sf_dir: str):
-    """Global Moran's I (spatial autocorrelation) of event density on
-    the res-5 cell grid, rook adjacency, binary weights — computed in
-    EXACT integers: with v_i the per-cell event count, n the
-    occupied-cell count and S = sum(v), the centered value
-    c_i = n*v_i - S is integer and
-    I = (n/W) * sum_ij c_i*c_j / sum_i c_i^2 needs only the four
-    BIGINTs (n, W, num, den) this query emits (the 1/n^2 factors
-    cancel in the ratio). Scale shape: the corpus passes ONCE through
-    a per-block cell-count combiner; everything downstream (neighbor
-    scatter, join-back, moment partials) runs on the
-    aggregate-bounded occupied-cell table (<= 4^res rows), never
-    corpus rows, and the driver only folds per-block partial sums.
-    At counts where c_i*c_j would exceed int64 the moments switch to
-    the split-word accumulation `q_group_linreg` documents; the SQL
-    twin already accumulates in HUGEINT."""
-    ev = _read(sf_dir, "events", ["event_id"])
-    pts = _with_points(ev, "event_id")
-
-    def xy(t: pa.Table) -> pa.Table:
-        cell = geo.cell_encode(
-            t["lon"].to_numpy(zero_copy_only=False),
-            t["lat"].to_numpy(zero_copy_only=False), MORAN_RES)
-        u, cnt = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(u),
-                         "v": pa.array(cnt.astype(np.int64))})
-
-    def vsum(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("cell", as_index=False)["v"].sum()
-        g["v"] = g["v"].astype("int64")
-        return g
-
-    cells = joins.grouped_agg(
-        pts.map_batches(xy, batch_format="pyarrow"),
-        ["cell"], vsum, num_partitions=8, pre_repartition=False,
-    ).materialize()
-    n_cells = int(cells.count())
-    s_v = int(cells.sum("v")) if n_cells else 0
-
-    def center(t: pa.Table) -> pa.Table:
-        v = t["v"].to_numpy(zero_copy_only=False)
-        return pa.table({"cell": t["cell"],
-                         "ci": pa.array(n_cells * v - s_v)})
-
-    cen = cells.map_batches(center, batch_format="pyarrow").materialize()
-
-    def scatter(t: pa.Table) -> pa.Table:
-        # donate ci to the 4 rook neighbours; no wrap — an off-grid
-        # target (x = -1, 2^res, ...) can never equal an occupied
-        # cell id, so the join drops it. Donations are emitted in
-        # BOTH directions, matching the SQL abs-diff self-join, so W
-        # counts each adjacent pair twice (symmetric weights).
-        if t.num_rows == 0:
-            return pa.table({"cell": pa.array([], pa.int64()),
-                             "cj": pa.array([], pa.int64())})
-        _, x, y = geo.cell_decode(t["cell"].to_numpy(zero_copy_only=False))
-        ci = t["ci"].to_numpy(zero_copy_only=False)
-        tx = np.concatenate([x + 1, x - 1, x, x])
-        ty = np.concatenate([y, y, y + 1, y - 1])
-        tcell = (np.int64(MORAN_RES) * np.int64(geo.RES_SHIFT)
-                 + ty * np.int64(geo.Y_SHIFT) + tx)
-        return pa.table({"cell": pa.array(tcell),
-                         "cj": pa.array(np.tile(ci, 4))})
-
-    scat = cen.map_batches(scatter, batch_format="pyarrow")
-    joined = joins.hash_join(cen, scat, "cell", num_partitions=8)
-
-    def pair_part(df: pd.DataFrame) -> pd.DataFrame:
-        ci = df["ci"].to_numpy(np.int64)
-        cj = df["cj"].to_numpy(np.int64)
-        return pd.DataFrame({"w": [np.int64(len(df))],
-                             "num": [np.int64((ci * cj).sum())]})
-
-    def den_part(df: pd.DataFrame) -> pd.DataFrame:
-        ci = df["ci"].to_numpy(np.int64)
-        return pd.DataFrame({"den": [np.int64((ci * ci).sum())]})
-
-    w_pairs = num = den = 0
-    for b in joined.map_batches(
-            pair_part, batch_format="pandas").iter_batches(
-            batch_format="pandas", batch_size=256):
-        w_pairs += int(b["w"].sum())
-        num += int(b["num"].sum())
-    for b in cen.map_batches(
-            den_part, batch_format="pandas").iter_batches(
-            batch_format="pandas", batch_size=256):
-        den += int(b["den"].sum())
-    return pd.DataFrame({"n_cells": [n_cells], "w_pairs": [w_pairs],
-                         "num": [num], "den": [den]}).astype("int64")
-
-
-def _morans_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("event_id")
-    n = 1 << MORAN_RES
-    x = (f"LEAST(GREATEST(floor((({lon} + 180.0) / 360.0) * {float(n)!r})"
-         f"::BIGINT, 0), {n - 1})")
-    y = (f"LEAST(GREATEST(floor((({lat} + 90.0) / 180.0) * {float(n)!r})"
-         f"::BIGINT, 0), {n - 1})")
-    return f"""
-    WITH c AS (
-      SELECT x, y, count(*)::BIGINT AS v
-      FROM (SELECT {x} AS x, {y} AS y FROM events) GROUP BY x, y),
-    s AS (SELECT count(*)::BIGINT AS n, SUM(v)::BIGINT AS sv FROM c),
-    cc AS (SELECT c.x, c.y, (s.n * c.v - s.sv)::HUGEINT AS ci FROM c, s),
-    pr AS (SELECT a.ci AS ca, b.ci AS cb
-           FROM cc a JOIN cc b
-             ON (abs(a.x - b.x) = 1 AND a.y = b.y)
-             OR (a.x = b.x AND abs(a.y - b.y) = 1))
-    SELECT (SELECT n FROM s) AS n_cells,
-           (SELECT count(*) FROM pr)::BIGINT AS w_pairs,
-           (SELECT COALESCE(SUM(ca * cb), 0) FROM pr)::BIGINT AS num,
-           (SELECT COALESCE(SUM(ci * ci), 0) FROM cc)::BIGINT AS den
-    """
-
-
-STAY_RES = 2
-
-
-def q_cell_stays(sf_dir: str):
-    """Trajectory stay-run detection: maximal runs of >= 2
-    CONSECUTIVE events (per user, ts/event_id order) inside one
-    coarse grid cell — the stay-point primitive behind dwell-time
-    and home-location mining. One (user_id) hash partition carries
-    each full trajectory; runs are found vectorized (cell-change
-    breakpoints -> cumulative run ids -> one groupby), the exact
-    computation the SQL lag/rows-window pair performs, so the oracle
-    is hash-exact."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    pts = spatial.add_cell_column(_with_points(ev, "event_id"), STAY_RES)
-
-    def runs(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "user_id": pd.array([], dtype="int64"),
-                "cell": pd.array([], dtype="int64"),
-                "n_events": pd.array([], dtype="int64"),
-                "first_event_id": pd.array([], dtype="int64"),
-                "start_ts": pd.Series([], dtype="datetime64[us]")})
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = df["user_id"].to_numpy(np.int64)
-        c = df["cell"].to_numpy(np.int64)
-        brk = np.ones(len(df), dtype=np.int64)
-        brk[1:] = ((u[1:] != u[:-1]) | (c[1:] != c[:-1])).astype(np.int64)
-        g = df.assign(rid=np.cumsum(brk)).groupby(
-            ["user_id", "rid", "cell"], as_index=False).agg(
-            n_events=("event_id", "size"),
-            first_event_id=("event_id", "min"),
-            start_ts=("ts", "min"))
-        g = g[g["n_events"] >= 2].drop(columns=["rid"])
-        g["n_events"] = g["n_events"].astype("int64")
-        return g
-
-    return joins.partitioned_map(
-        pts.select_columns(["event_id", "user_id", "ts", "cell"]),
-        ["user_id"], runs, num_partitions=16)
-
-
-def _cell_stays_sql() -> str:
-    lon, lat = geo.derive_lonlat_sql("event_id")
-    cell = geo.cell_encode_sql(lon, lat, STAY_RES)
-    return f"""
-    WITH e AS (SELECT user_id, event_id, ts, {cell} AS cell FROM events),
-    o AS (SELECT *, CASE WHEN lag(cell) OVER
-                         (PARTITION BY user_id ORDER BY ts, event_id)
-                         IS DISTINCT FROM cell THEN 1 ELSE 0 END AS brk
-          FROM e),
-    r AS (SELECT *, SUM(brk) OVER
-                    (PARTITION BY user_id ORDER BY ts, event_id
-                     ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
-                    AS rid
-          FROM o)
-    SELECT user_id, cell, count(*)::BIGINT AS n_events,
-           min(event_id)::BIGINT AS first_event_id, min(ts) AS start_ts
-    FROM r GROUP BY user_id, rid, cell HAVING count(*) >= 2
-    """
-
-
 KCORE_K = 10
 
 
@@ -7752,40 +6033,6 @@ def q_tile_color(sf_dir: str):
 # r4 wave 3: relational division, hop-bounded SSSP, incremental
 # aggregate maintenance (IVM), cross-modal near-dup
 # ---------------------------------------------------------------------------
-
-
-DIV_PRICE = 150000.0  # high-price cut for the division candidate set
-
-
-def q_rel_division(sf_dir: str):
-    """Relational division ("for all"): customers whose HIGH-PRICE
-    orders cover EVERY order priority that appears among high-price
-    orders — the universal-quantifier join SQL spells HAVING
-    count(DISTINCT)=total. Shape: one distinct on (cust, priority)
-    bounds the shuffle at the pair-universe size (|custs| x
-    |priorities|, never |orders|); the divisor cardinality is a
-    single driver int (priorities are an enum-sized set by
-    construction); the final filter is a per-partition groupby."""
-    orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderpriority", "o_totalprice"])
-    hi = orders.map_batches(
-        lambda t: t.filter(pc.greater(t["o_totalprice"], DIV_PRICE)),
-        batch_format="pyarrow",
-    ).select_columns(["o_custkey", "o_orderpriority"])
-    pairs = joins.distinct(hi, ["o_custkey", "o_orderpriority"],
-                           num_partitions=16)
-    total = int(joins.distinct(hi.select_columns(["o_orderpriority"]),
-                               ["o_orderpriority"],
-                               num_partitions=4).count())
-
-    def cover(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False).size()
-        g = g[g["size"] == total][["o_custkey"]]
-        g["o_custkey"] = g["o_custkey"].astype("int64")
-        return g
-
-    return joins.grouped_agg(pairs, ["o_custkey"], cover,
-                             num_partitions=8)
 
 
 SSSP_SRC_MOD = 10       # suppliers with key % 10 == 0 are sources
@@ -8022,46 +6269,6 @@ def q_cross_modal_dup(sf_dir: str):
     return j2.map_batches(agree, batch_format="pandas")
 
 
-def q_skew_join(sf_dir: str):
-    """Per-priority lineitem rollup routed through
-    `joins.skew_join`: the fact side's heavy keys (Misra-Gries
-    detector) join MAP-SIDE against their broadcast dimension rows
-    while the cold rest takes the normal hash exchange — the
-    salting counterpart for joins (a hot key never funnels into one
-    reducer). Any hot/cold split is semantics-preserving, so the
-    oracle is the plain join; `hot_top`/`per_block` are sized so the
-    hot path genuinely activates at sf0.01."""
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    j = joins.skew_join(li, orders, on="l_orderkey",
-                        right_on="o_orderkey", num_partitions=16,
-                        hot_top=16, per_block=512)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "o_orderpriority": pd.array([], dtype="str"),
-                "n": pd.array([], dtype="int64"),
-                "sum_qty": pd.array([], dtype="int64")})
-        g = (df.assign(q=_round_half_away(df["l_quantity"].to_numpy()))
-             .groupby("o_orderpriority", as_index=False)
-             .agg(n=("q", "size"), sum_qty=("q", "sum")))
-        g["n"] = g["n"].astype("int64")
-        g["sum_qty"] = g["sum_qty"].astype("int64")
-        return g
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            n=("n", "sum"), sum_qty=("sum_qty", "sum"))
-        g["n"] = g["n"].astype("int64")
-        g["sum_qty"] = g["sum_qty"].astype("int64")
-        return g
-
-    return joins.grouped_agg(
-        j.map_batches(partial, batch_format="pandas", batch_size=65536),
-        ["o_orderpriority"], fin, num_partitions=4)
-
-
 def _change_polys_table() -> pa.Table:
     return pa.Table.from_pylist(
         [
@@ -8189,44 +6396,6 @@ def _zps_fin(df: pd.DataFrame) -> pd.DataFrame:
     for c in g.columns:
         g[c] = g[c].astype("int64")
     return g
-
-
-PASSAGE_W = 8
-
-
-def q_line_dedup(sf_dir: str):
-    """Passage-level exact dedup (the C4/RefinedWeb line-dedup op):
-    every distinct 8-token passage keeps only its global first
-    occurrence (by doc_id, start) and documents are rebuilt from
-    their kept passages. Three bounded stages (`text.passage_dedup`):
-    digests-only first shuffle, removal traffic proportional to
-    duplicate mass, one doc-keyed co-partition for the rebuild."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return text.passage_dedup(docs, width=PASSAGE_W, num_partitions=16)
-
-
-def q_rep_ngrams(sf_dir: str):
-    """Gopher/MassiveText repetition signal: per document, the count
-    and e6-fraction of token-trigram occurrences belonging to a
-    trigram that repeats within the document. Zero shuffle — one
-    flat-buffer lexsort + run-length pass per batch
-    (`text.dup_ngram_stats_batch`)."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(
-        lambda t: text.dup_ngram_stats_batch(t, 3),
-        batch_format="pyarrow")
-
-
-def q_kmeans(sf_dir: str):
-    """Distributed full-corpus Lloyd k-means over the embeddings
-    table (`ann.kmeans_lloyd`): per-iteration E-step streams the
-    corpus emitting k partial (count, sum, sse) rows per block; the
-    M-step reduces k x dim on the driver. Rows-only (iterative, not
-    SQL); pytest checks bit-level agreement with a single-process
-    numpy Lloyd and monotone SSE."""
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    _, assign = ann.kmeans_lloyd(emb, k=8, iters=5)
-    return assign
 
 
 PROFILE_COLS = ("l_returnflag", "l_quantity", "l_extendedprice",
@@ -8550,11 +6719,6 @@ ORACLE: dict[str, str] = {
                     END)::BIGINT AS wdur
         FROM s GROUP BY user_id
     """,
-    "fuzzy_name_pairs": """
-        SELECT a.p_partkey AS ka, b.p_partkey AS kb
-        FROM part a JOIN part b ON a.p_partkey < b.p_partkey
-        WHERE levenshtein(a.p_name, b.p_name) <= 1
-    """,
     "unigram_logprob": r"""
         WITH toks AS (
           SELECT doc_id,
@@ -8665,13 +6829,6 @@ ORACLE: dict[str, str] = {
           FROM events GROUP BY user_id)
         WHERE t_view < t_click AND t_click < t_purchase
     """,
-    "basket_pairs": """
-        WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem)
-        SELECT a.l_partkey AS pa, b.l_partkey AS pb, count(*)::BIGINT AS cnt
-        FROM d a JOIN d b
-          ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-        GROUP BY 1, 2 ORDER BY cnt DESC, pa, pb LIMIT 100
-    """,
     "latest_wins": """
         SELECT user_id, event_id, event_type FROM (
           SELECT user_id, event_id, event_type,
@@ -8732,105 +6889,13 @@ ORACLE: dict[str, str] = {
     "pip_join": _pip_union_sql(),
     "knn_assign": _knn_sql(),
     "radius_join": _radius_sql(),
-    "distance_pairs": _distance_pairs_sql(),
     "focal_mean": _focal_mean_sql(),
     "bigram_pmi": _bigram_pmi_sql(),
     "min_price_supplier": _min_price_supplier_sql(),
     "trending_types": _trending_types_sql(),
-    "track_poly_cross": _track_poly_cross_sql(),
     "embed_outliers": _embed_outliers_sql(),
-    "brand_supplier_cnt": _brand_supplier_cnt_sql(),
     "late_events": _late_events_sql(),
     "tile_cover": _tile_cover_sql(),
-    "pricing_summary": """
-        SELECT l_returnflag, l_linestatus,
-               round(sum(l_quantity))::BIGINT AS sum_qty,
-               round(sum(l_extendedprice) * 100)::BIGINT AS sum_base_cents,
-               round(sum(l_extendedprice * (1.0 - l_discount)) * 100)::BIGINT AS sum_disc_cents,
-               count(*)::BIGINT AS count_order
-        FROM lineitem GROUP BY l_returnflag, l_linestatus
-    """,
-    "topk_orders": """
-        SELECT o_orderkey, round(o_totalprice * 100)::BIGINT AS total_cents
-        FROM orders ORDER BY o_totalprice DESC, o_orderkey ASC LIMIT 10
-    """,
-    "brand_stats": """
-        SELECT p_brand, count(*)::BIGINT AS n, sum(p_size)::BIGINT AS sum_size
-        FROM part GROUP BY p_brand
-    """,
-    "events_value_sum": """
-        SELECT event_type, count(*)::BIGINT AS n,
-               round(sum(value) * 100)::BIGINT AS sum_value_cents
-        FROM events GROUP BY event_type
-    """,
-    "dedup_exact": """
-        SELECT doc_id FROM (
-          SELECT doc_id,
-                 row_number() OVER (PARTITION BY text ORDER BY doc_id) rn
-          FROM documents) WHERE rn = 1
-    """,
-    "ngram_jaccard": """
-        WITH g AS (
-          SELECT DISTINCT doc_id,
-                 substr(text, CAST(unnest(range(1, greatest(length(text) - 4, 1))) AS INT), 6) AS gram
-          FROM documents
-        ),
-        n AS (SELECT doc_id, count(*) AS cnt FROM g GROUP BY doc_id),
-        inter AS (
-          SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS n_inter
-          FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-          GROUP BY 1, 2
-        )
-        SELECT doc_a, doc_b, n_inter::BIGINT AS n_inter,
-               (na.cnt + nb.cnt - n_inter)::BIGINT AS n_union,
-               ((n_inter * 1000000) // (na.cnt + nb.cnt - n_inter))::BIGINT AS jaccard_e6
-        FROM inter
-        JOIN n na ON na.doc_id = doc_a
-        JOIN n nb ON nb.doc_id = doc_b
-        WHERE n_inter * 1000000 >= 150000 * (na.cnt + nb.cnt - n_inter)
-    """,
-    "token_count": "SELECT doc_id, length(string_split(text, ' '))::BIGINT AS n_tokens FROM documents",
-    "quality": """
-        SELECT doc_id, length(text)::BIGINT AS n_chars,
-               length(regexp_replace(text, '[^A-Za-z]', '', 'g'))::BIGINT AS n_alpha,
-               length(regexp_replace(text, '[^0-9]', '', 'g'))::BIGINT AS n_digit,
-               (length(text) - length(replace(text, ' ', '')))::BIGINT AS n_space
-        FROM documents
-    """,
-    "langid": f"SELECT doc_id, {text.langid_sql()} FROM documents",
-    "ann_topk": _ann_sql(),
-    "window_hourly": """
-        SELECT user_id, date_trunc('hour', ts) AS hour, count(*)::BIGINT AS n,
-               round(sum(value) * 100)::BIGINT AS sum_value_cents
-        FROM events GROUP BY user_id, date_trunc('hour', ts)
-    """,
-    "bucketed_join": """
-        SELECT c_custkey, c_nationkey, n_name
-        FROM customer JOIN nation ON c_nationkey = n_nationkey
-    """,
-    "snapshot_diff": """
-        WITH old_s AS (
-          SELECT o_orderkey, round(o_totalprice * 100)::BIGINT AS cents
-          FROM orders WHERE o_orderkey % 11 <> 0),
-        new_s AS (
-          SELECT o_orderkey, round(o_totalprice * 100)::BIGINT
-                 + CASE WHEN o_orderkey % 3 = 0 THEN 1 ELSE 0 END AS cents
-          FROM orders WHERE o_orderkey % 13 <> 0)
-        SELECT coalesce(o.o_orderkey, n.o_orderkey) AS o_orderkey,
-               CASE WHEN o.o_orderkey IS NULL THEN 'create'
-                    WHEN n.o_orderkey IS NULL THEN 'delete'
-                    ELSE 'modify' END AS op
-        FROM old_s o FULL OUTER JOIN new_s n ON o.o_orderkey = n.o_orderkey
-        WHERE o.o_orderkey IS NULL OR n.o_orderkey IS NULL
-           OR o.cents <> n.cents
-    """,
-    "status_pivot": """
-        SELECT o_custkey,
-               sum(CASE WHEN o_orderstatus = 'O' THEN 1 ELSE 0 END)::BIGINT AS n_O,
-               sum(CASE WHEN o_orderstatus = 'F' THEN 1 ELSE 0 END)::BIGINT AS n_F,
-               sum(CASE WHEN o_orderstatus = 'P' THEN 1 ELSE 0 END)::BIGINT AS n_P
-        FROM orders GROUP BY o_custkey
-    """,
     "sales_rollup": """
         SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
                coalesce(l_linestatus, 'ALL') AS l_linestatus,
@@ -8839,34 +6904,6 @@ ORACLE: dict[str, str] = {
         FROM lineitem
         GROUP BY GROUPING SETS ((l_returnflag, l_linestatus),
                                 (l_returnflag), ())
-    """,
-    "curriculum_sample": """
-        WITH tiled AS (
-          SELECT doc_id, lang, n_chars,
-                 ntile(5) OVER (PARTITION BY lang
-                                ORDER BY n_chars, doc_id) AS tile,
-                 ((doc_id::HUGEINT * 2654435761) % 4294967296)::BIGINT AS h
-          FROM documents)
-        SELECT doc_id, lang, n_chars, tile, h
-        FROM tiled
-        QUALIFY row_number() OVER (PARTITION BY lang, tile
-                                   ORDER BY h, doc_id) <= 2
-    """,
-    "length_deciles": """
-        SELECT doc_id, lang, n_chars,
-               ntile(10) OVER (PARTITION BY lang
-                               ORDER BY n_chars, doc_id) AS tile
-        FROM documents
-    """,
-    "topk_per_cust": """
-        SELECT o_custkey, o_orderkey,
-               round(o_totalprice * 100)::BIGINT AS price_cents
-        FROM (
-          SELECT o_custkey, o_orderkey, o_totalprice,
-                 row_number() OVER (PARTITION BY o_custkey
-                                    ORDER BY o_totalprice DESC, o_orderkey) rn
-          FROM orders)
-        WHERE rn <= 3
     """,
     "rolling_24h": """
         SELECT event_id, user_id,
@@ -8896,21 +6933,6 @@ ORACLE: dict[str, str] = {
     """,
     "zorder_cells": _zorder_sql(),
     "cell_pyramid": _pyramid_sql(),
-    "range_join": """
-        SELECT l.event_id AS purchase_id, r.event_id AS error_id
-        FROM events l JOIN events r
-          ON l.ts >= r.ts AND l.ts <= r.ts + INTERVAL 60 MINUTE
-        WHERE l.event_type = 'purchase' AND r.event_type = 'error'
-    """,
-    "order_ranks": """
-        SELECT o_custkey, o_orderkey,
-               rank() OVER w AS "rank",
-               dense_rank() OVER w AS "dense_rank",
-               percent_rank() OVER w AS "percent_rank",
-               cume_dist() OVER w AS "cume_dist"
-        FROM orders
-        WINDOW w AS (PARTITION BY o_custkey ORDER BY o_orderdate)
-    """,
     "merge_intervals": """
         WITH iv AS (
           SELECT user_id, ts AS s, ts + INTERVAL 30 MINUTE AS e
@@ -8930,42 +6952,6 @@ ORACLE: dict[str, str] = {
         SELECT user_id, min(s) AS island_start, max(e) AS island_end,
                count(*)::BIGINT AS n_events
         FROM g GROUP BY user_id, isl
-    """,
-    "overlap_join": """
-        SELECT l.event_id AS purchase_id, r.event_id AS error_id
-        FROM events l JOIN events r
-          ON l.ts <= r.ts + INTERVAL 45 MINUTE
-         AND r.ts <= l.ts + INTERVAL 30 MINUTE
-        WHERE l.event_type = 'purchase' AND r.event_type = 'error'
-    """,
-    "asof_join": """
-        SELECT e.event_id, e.user_id, max(o.o_orderdate) AS last_order
-        FROM events e LEFT JOIN orders o
-          ON o.o_custkey = e.user_id AND o.o_orderdate <= e.ts
-        GROUP BY e.event_id, e.user_id
-    """,
-    "asof_forward": """
-        SELECT e.event_id, e.user_id, min(o.o_orderdate) AS next_order
-        FROM events e LEFT JOIN orders o
-          ON o.o_custkey = e.user_id AND o.o_orderdate >= e.ts
-        GROUP BY e.event_id, e.user_id
-    """,
-    "sessionize": """
-        SELECT user_id, min(ts) AS session_start, count(*)::BIGINT AS n
-        FROM (
-          SELECT user_id, ts, event_id,
-                 sum(new_sess) OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id) AS sess
-          FROM (
-            SELECT user_id, ts, event_id,
-                   CASE WHEN lag(ts) OVER (PARTITION BY user_id
-                                           ORDER BY ts, event_id) IS NULL
-                          OR ts - lag(ts) OVER (PARTITION BY user_id
-                                                ORDER BY ts, event_id)
-                             > INTERVAL 30 MINUTE
-                        THEN 1 ELSE 0 END AS new_sess
-            FROM events))
-        GROUP BY user_id, sess
     """,
     # the SQL side rebuilds the exact node TTL block text (7-dp
     # printf coords, degenerate rings, facts, timestamp literal) so
@@ -9002,96 +6988,6 @@ ORACLE: dict[str, str] = {
         SELECT 'osmway:' || doc_id, 'osmway:node', 'osmnode:' || doc_id
         FROM documents WHERE doc_id % 30 = 0
     """,
-    # recursive reachability closure; label = min node id per component
-    "cc_labels": """
-        WITH RECURSIVE raw AS (
-          SELECT user_id AS a,
-                 lead(user_id) OVER (PARTITION BY props
-                                     ORDER BY ts, event_id) AS b,
-                 lead(ts) OVER (PARTITION BY props ORDER BY ts, event_id)
-                   - ts AS gap
-          FROM events),
-        edges AS (
-          SELECT a, b FROM raw
-          WHERE b IS NOT NULL AND gap <= INTERVAL 3600 SECOND AND a <> b),
-        sym AS (SELECT a, b FROM edges UNION SELECT b, a FROM edges),
-        walk AS (
-          SELECT a AS node, b AS reach FROM sym
-          UNION
-          SELECT w.node, s.b FROM walk w JOIN sym s ON s.a = w.reach
-          WHERE s.b <> w.node)
-        SELECT node, least(node, min(reach)) AS label
-        FROM walk GROUP BY node
-    """,
-    "group_quantiles": """
-        SELECT event_type, count(*)::BIGINT AS n,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.25*(count(*)-1)) AS BIGINT)+1) AS q25,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.50*(count(*)-1)) AS BIGINT)+1) AS q50,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.75*(count(*)-1)) AS BIGINT)+1) AS q75
-        FROM events GROUP BY event_type
-    """,
-    "group_quantiles_dist": """
-        SELECT event_type, count(*)::BIGINT AS n,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.25*(count(*)-1)) AS BIGINT)+1) AS q25,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.50*(count(*)-1)) AS BIGINT)+1) AS q50,
-          list_extract(list(value ORDER BY value),
-            CAST(floor(0.75*(count(*)-1)) AS BIGINT)+1) AS q75
-        FROM events GROUP BY event_type
-    """,
-    "stratified_sample": """
-        -- HUGEINT cast as in geo.derive_lonlat_sql: doc_id * 2654435761
-        -- overflows BIGINT for ids >= ~3.5e9 (numpy wraps mod 2^64, which
-        -- agrees mod 2^32, so only the SQL side needs the widening)
-        SELECT doc_id, lang,
-               ((doc_id::HUGEINT * 2654435761) % 4294967296)::BIGINT AS h
-        FROM documents
-        QUALIFY row_number() OVER (PARTITION BY lang ORDER BY h, doc_id) <= 10
-    """,
-    "vocab_df": """
-        WITH tok AS (
-          SELECT doc_id,
-                 unnest(string_split_regex(lower(text), '[^a-z]+')) AS term
-          FROM documents)
-        SELECT term, count(DISTINCT doc_id)::BIGINT AS df,
-               count(*)::BIGINT AS cf
-        FROM tok WHERE term <> '' GROUP BY term
-    """,
-    "tfidf_topk": """
-        WITH tok AS (
-          SELECT doc_id,
-                 unnest(string_split_regex(lower(text), '[^a-z]+')) AS term
-          FROM documents),
-        tf AS (SELECT doc_id, term, count(*)::BIGINT AS tf
-               FROM tok WHERE term <> '' GROUP BY doc_id, term),
-        df AS (SELECT term, count(DISTINCT doc_id)::BIGINT AS df
-               FROM tok WHERE term <> '' GROUP BY term)
-        SELECT tf.doc_id, tf.term, tf.tf, df.df FROM tf JOIN df USING (term)
-        QUALIFY row_number() OVER (PARTITION BY tf.doc_id
-                                   ORDER BY tf.tf::DOUBLE / df.df DESC,
-                                            tf.term) <= 3
-    """,
-    "contamination": """
-        WITH tok AS (
-          SELECT doc_id,
-                 list_filter(string_split_regex(lower(text), '[^a-z]+'),
-                             x -> x <> '') AS ts
-          FROM documents),
-        tri AS (
-          SELECT DISTINCT doc_id,
-                 unnest(list_transform(
-                   generate_series(1, greatest(len(ts)-2, 0)),
-                   i -> ts[i] || ' ' || ts[i+1] || ' ' || ts[i+2])) AS tri
-          FROM tok),
-        ev AS (SELECT DISTINCT tri FROM tri WHERE doc_id % 97 = 0)
-        SELECT t.doc_id, count(DISTINCT t.tri)::BIGINT AS n_shared
-        FROM tri t JOIN ev USING (tri) WHERE t.doc_id % 97 <> 0
-        GROUP BY t.doc_id
-    """,
     "track_length": _track_length_sql(),
     "star_poly_area": _star_poly_area_sql(),
     "word_stats": """
@@ -9106,22 +7002,6 @@ ORACLE: dict[str, str] = {
                ((n_words - n_distinct) * 1000000) // n_words AS dup_ratio_e6,
                (top_cnt * 1000000) // n_words AS top_frac_e6
         FROM agg
-    """,
-    "regional_revenue": """
-        SELECT n_name,
-               SUM(round(l_extendedprice * (1.0 - l_discount) * 100.0,
-                         0)::BIGINT)::BIGINT AS revenue_cents
-        FROM lineitem
-        JOIN orders   ON l_orderkey = o_orderkey
-        JOIN customer ON o_custkey = c_custkey
-        JOIN supplier ON l_suppkey = s_suppkey
-        JOIN nation   ON c_nationkey = n_nationkey
-        JOIN region   ON n_regionkey = r_regionkey
-        WHERE r_name = 'ASIA'
-          AND c_nationkey = s_nationkey
-          AND o_orderdate >= TIMESTAMP '1994-01-01'
-          AND o_orderdate <  TIMESTAMP '1996-01-01'
-        GROUP BY n_name
     """,
     "unpivot": """
         WITH wide AS (
@@ -9229,12 +7109,6 @@ ORACLE: dict[str, str] = {
                n
         FROM m
     """,
-    "props_k_stats": """
-        SELECT event_type, count(*)::BIGINT AS n,
-               SUM(CAST(regexp_extract(props, '"k": (\\d+)', 1) AS BIGINT))::BIGINT AS sum_k,
-               max(CAST(regexp_extract(props, '"k": (\\d+)', 1) AS BIGINT))::BIGINT AS max_k
-        FROM events GROUP BY event_type
-    """,
     "full_outer": """
         WITH ev AS (
           SELECT user_id, count(*)::BIGINT AS n_events FROM events
@@ -9258,7 +7132,6 @@ ORACLE: dict[str, str] = {
     "geofence_transitions": _geofence_sql(),
     "heavy_terms": _HEAVY_TERMS_SQL,
     "geohash": _geohash_sql(),
-    "pagerank": _pagerank_sql(),
     "od_matrix": _od_matrix_sql(),
     "zscore_norm": _ZSCORE_SQL,
     "triangle_count": _TRIANGLE_SQL,
@@ -9271,10 +7144,6 @@ ORACLE: dict[str, str] = {
     "trimmed_stats": _TRIMMED_SQL,
     "track_corridor": _track_corridor_sql(),
     "resample_tracks": _resample_sql(),
-    "track_hausdorff": _track_hausdorff_sql(),
-    "track_clusters": _track_clusters_sql(),
-    "kde_heat": _kde_heat_sql(),
-    "colocation_pairs": _colocation_sql(),
     "mad_outliers": _MAD_SQL,
     "entity_clusters": _ENTITY_SQL,
     "attribution": _ATTRIBUTION_SQL,
@@ -9301,74 +7170,9 @@ ORACLE: dict[str, str] = {
         FROM customer WHERE c_custkey % 13 = 0
     """,
     "idw_interpolate": _idw_sql(),
-    "bloom_join": """
-        SELECT o_orderpriority, count(*)::BIGINT AS n,
-               SUM(round(o_totalprice * 100.0, 0)::BIGINT)::BIGINT
-                 AS sum_cents
-        FROM orders
-        WHERE o_custkey IN (SELECT c_custkey FROM customer
-                            WHERE c_mktsegment = 'AUTOMOBILE')
-        GROUP BY o_orderpriority
-    """,
-    "morans_i": _morans_sql(),
-    "cell_stays": _cell_stays_sql(),
-    "rel_division": f"""
-        WITH hi AS (SELECT DISTINCT o_custkey, o_orderpriority
-                    FROM orders WHERE o_totalprice > {DIV_PRICE!r})
-        SELECT o_custkey FROM hi GROUP BY o_custkey
-        HAVING count(*) = (SELECT count(DISTINCT o_orderpriority)
-                           FROM hi)
-    """,
     "sssp": _sssp_sql(),
     "ivm_cell_counts": _ivm_sql(),
-    "skew_join": """
-        SELECT o_orderpriority, count(*)::BIGINT AS n,
-               SUM(round(l_quantity, 0)::BIGINT)::BIGINT AS sum_qty
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
-    """,
     "zonal_stats": _zonal_sql(),
-    "line_dedup": f"""
-        WITH s AS (SELECT doc_id, string_split(text, ' ') AS toks,
-                          len(string_split(text, ' ')) AS n
-                   FROM documents),
-        c AS (SELECT doc_id, toks, n,
-                     unnest(generate_series(1, n, {PASSAGE_W})) AS st
-              FROM s),
-        p AS (SELECT doc_id, st,
-                     array_to_string(
-                       toks[st:least(st + {PASSAGE_W - 1}, n)], ' ')
-                       AS passage
-              FROM c),
-        r AS (SELECT doc_id, st, passage,
-                     row_number() OVER (PARTITION BY passage
-                                        ORDER BY doc_id, st) AS rn
-              FROM p)
-        SELECT doc_id,
-               COALESCE(string_agg(passage, ' ' ORDER BY st)
-                          FILTER (WHERE rn = 1), '') AS clean_text,
-               COUNT(*) FILTER (WHERE rn > 1)::BIGINT AS n_removed
-        FROM r GROUP BY doc_id
-    """,
-    "rep_ngrams": """
-        WITH s AS (SELECT doc_id, string_split(text, ' ') AS toks,
-                          len(string_split(text, ' ')) AS n
-                   FROM documents),
-        t AS (SELECT doc_id, toks,
-                     unnest(generate_series(1, n - 2)) AS i
-              FROM s WHERE n >= 3),
-        g AS (SELECT doc_id, array_to_string(toks[i:i+2], ' ') AS tri
-              FROM t),
-        c AS (SELECT doc_id, tri, count(*)::BIGINT AS c
-              FROM g GROUP BY doc_id, tri)
-        SELECT doc_id, SUM(c)::BIGINT AS n_grams,
-               COALESCE(SUM(c) FILTER (WHERE c > 1), 0)::BIGINT
-                 AS dup_occ,
-               round(1000000.0
-                     * COALESCE(SUM(c) FILTER (WHERE c > 1), 0)
-                     / SUM(c), 0)::BIGINT AS dup_frac_e6
-        FROM c GROUP BY doc_id
-    """,
     "profile_table": """
         WITH num AS (
           SELECT 'l_quantity' AS col, count(*)::BIGINT AS n,
@@ -9425,20 +7229,15 @@ ORACLE: dict[str, str] = {
 }
 
 QUERIES = {
-    "image_patches": q_image_patches,
     "caption_pairs": q_caption_pairs,
-    "fuzzy_name_pairs": q_fuzzy_name_pairs,
     "unigram_logprob": q_unigram_logprob,
     "part_skyline": q_part_skyline,
     "radius_join": q_radius_join,
-    "distance_pairs": q_distance_pairs,
     "focal_mean": q_focal_mean,
     "bigram_pmi": q_bigram_pmi,
     "min_price_supplier": q_min_price_supplier,
     "trending_types": q_trending_types,
-    "track_poly_cross": q_track_poly_cross,
     "embed_outliers": q_embed_outliers,
-    "brand_supplier_cnt": q_brand_supplier_cnt,
     "late_events": q_late_events,
     "label_centroids": q_label_centroids,
     "time_weighted_avg": q_time_weighted_avg,
@@ -9452,7 +7251,6 @@ QUERIES = {
     "shipping_priority": q_shipping_priority,
     "user_mode": q_user_mode,
     "funnel_conv": q_funnel_conv,
-    "basket_pairs": q_basket_pairs,
     "latest_wins": q_latest_wins,
     "change_counts": q_change_counts,
     "impact_closure": q_impact_closure,
@@ -9473,44 +7271,16 @@ QUERIES = {
     "pip_join": q_pip_join,
     "knn_assign": q_knn_assign,
     "tile_cover": q_tile_cover,
-    "pricing_summary": q_pricing_summary,
-    "topk_orders": q_topk_orders,
-    "brand_stats": q_brand_stats,
-    "events_value_sum": q_events_value_sum,
-    "dedup_exact": q_dedup_exact,
-    "ngram_jaccard": q_ngram_jaccard,
     "phash_near_dup": q_phash_near_dup,
     "image_dup_clusters": q_image_dup_clusters,
-    "polygon_join": q_polygon_join,
-    "pca_project": q_pca_project,
-    "image_augment": q_image_augment,
-    "quantized_topk": q_quantized_topk,
-    "token_count": q_token_count,
-    "quality": q_quality,
-    "langid": q_langid,
-    "ann_topk": q_ann_topk,
-    "window_hourly": q_window_hourly,
-    "asof_join": q_asof_join,
-    "asof_forward": q_asof_forward,
-    "range_join": q_range_join,
-    "overlap_join": q_overlap_join,
     "merge_intervals": q_merge_intervals,
-    "order_ranks": q_order_ranks,
     "sales_rollup": q_sales_rollup,
-    "status_pivot": q_status_pivot,
-    "snapshot_diff": q_snapshot_diff,
-    "bucketed_join": q_bucketed_join,
     "hll_users": q_hll_users,
-    "hll_group_users": q_hll_group_users,
-    "length_deciles": q_length_deciles,
-    "curriculum_sample": q_curriculum_sample,
-    "topk_per_cust": q_topk_per_cust,
     "rolling_24h": q_rolling_24h,
     "running_total": q_running_total,
     "cust_event_counts": q_cust_event_counts,
     "zorder_cells": q_zorder_cells,
     "cell_pyramid": q_cell_pyramid,
-    "sessionize": q_sessionize,
     "ttl_filter": q_ttl_filter,
     "ttl_emit": q_ttl_emit,
     "ttl_emit_ways": q_ttl_emit_ways,
@@ -9519,18 +7289,10 @@ QUERIES = {
     "pii_redact": q_pii_redact,
     "url_dedup": q_url_dedup,
     "doc_repetition": q_doc_repetition,
-    "cc_labels": q_cc_labels,
-    "group_quantiles": q_group_quantiles,
-    "group_quantiles_dist": q_group_quantiles_dist,
-    "stratified_sample": q_stratified_sample,
-    "vocab_df": q_vocab_df,
-    "tfidf_topk": q_tfidf_topk,
-    "contamination": q_contamination,
     "track_length": q_track_length,
     "star_poly_area": q_star_poly_area,
     "word_stats": q_word_stats,
     "full_outer": q_full_outer,
-    "regional_revenue": q_regional_revenue,
     "unpivot": q_unpivot,
     "weighted_sample": q_weighted_sample,
     "chunk_tokens": q_chunk_tokens,
@@ -9541,23 +7303,10 @@ QUERIES = {
     "event_entropy": q_event_entropy,
     "histogram": q_histogram,
     "group_corr": q_group_corr,
-    "props_k_stats": q_props_k_stats,
-    "semdedup": q_semdedup,
-    "image_quality": q_image_quality,
     # rows-only (no SQL-expressible oracle): sketches, LSH, image ops
-    "quantile_sketch": q_quantile_sketch,
     "channel_stats": q_channel_stats,
     "fingerprint": q_fingerprint,
     "simhash": q_simhash,
-    "minhash_pairs": q_minhash_pairs,
-    "lsh_topk": q_lsh_topk,
-    "ivf_topk": q_ivf_topk,
-    "audio_features": q_audio_features,
-    "frame_sample": q_frame_sample,
-    "near_dedup": q_near_dedup,
-    "cosine_pairs": q_cosine_pairs,
-    "image_decode": q_image_decode,
-    "thumbnails": q_thumbnails,
     "pip_anti": q_pip_anti,
     "hash_split": q_hash_split,
     "first_last_events": q_first_last_events,
@@ -9571,7 +7320,6 @@ QUERIES = {
     "geofence_transitions": q_geofence_transitions,
     "heavy_terms": q_heavy_terms,
     "geohash": q_geohash,
-    "pagerank": q_pagerank,
     "od_matrix": q_od_matrix,
     "zscore_norm": q_zscore_norm,
     "triangle_count": q_triangle_count,
@@ -9585,15 +7333,9 @@ QUERIES = {
     "trimmed_stats": q_trimmed_stats,
     "simplify_tracks": q_simplify_tracks,
     "track_corridor": q_track_corridor,
-    "pq_topk": q_pq_topk,
     "resample_tracks": q_resample_tracks,
-    "track_hausdorff": q_track_hausdorff,
-    "track_clusters": q_track_clusters,
-    "track_frechet": q_track_frechet,
     "raster_blobs": q_raster_blobs,
-    "kde_heat": q_kde_heat,
     "nms_boxes": q_nms_boxes,
-    "colocation_pairs": q_colocation_pairs,
     "mad_outliers": q_mad_outliers,
     "entity_clusters": q_entity_clusters,
     "attribution": q_attribution,
@@ -9609,23 +7351,15 @@ QUERIES = {
     "pushdown_scan": q_pushdown_scan,
     "flow_rose": q_flow_rose,
     "radius_gyration": q_radius_gyration,
-    "bloom_join": q_bloom_join,
-    "morans_i": q_morans_i,
-    "cell_stays": q_cell_stays,
     "kcore": q_kcore,
     "tile_color": q_tile_color,
-    "rel_division": q_rel_division,
     "sssp": q_sssp,
     "ivm_cell_counts": q_ivm_cell_counts,
     "cross_modal_dup": q_cross_modal_dup,
-    "skew_join": q_skew_join,
     "zonal_stats": q_zonal_stats,
     "zonal_pixel_stats": q_zonal_pixel_stats,
-    "line_dedup": q_line_dedup,
-    "rep_ngrams": q_rep_ngrams,
     "profile_table": q_profile_table,
     "cum_distinct": q_cum_distinct,
-    "kmeans": q_kmeans,
 }
 
 # wave-5/6 catalogs (kept in their own modules; merged here so the

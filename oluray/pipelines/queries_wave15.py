@@ -43,8 +43,6 @@ def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
 
 SC_RES = 6
 SC_N = 1 << SC_RES
-SC_CW = 360.0 / SC_N   # 5.625  — exact in binary
-SC_CH = 180.0 / SC_N   # 2.8125 — exact in binary
 
 
 def _grid_idx(v: np.ndarray, lo: float, span: float) -> np.ndarray:

@@ -7,8 +7,7 @@ EXACT integers on the occupied-cell lattice: queen (8-neighbor +
 self) binary weights over OCCUPIED cells, per-cell local sum
 L_i = sum of neighbor counts, neighborhood size w_i, and the exact
 z-score NUMERATOR gnum_i = n*L_i - w_i*S (positive => hot). The
-denominator needs a sqrt, so like `morans_i`
-(queries.py::q_morans_i) the query emits the integer components and
+denominator needs a sqrt, so the query emits the integer components and
 leaves the irrational division to the caller — the compare path
 stays bit-exact. Mirrors the reference's per-cell "which tiles does
 a change affect" closure re-expressed as a statistic

@@ -584,7 +584,7 @@ SELECT hq, hr, count(*)::BIGINT AS n FROM h GROUP BY hq, hr
 
 
 # ---------------------------------------------------------------------------
-# map_match — Viterbi matching of tracks onto a road lattice (rows-only)
+# Viterbi map matching of tracks onto a road lattice (brute-force pytest)
 # ---------------------------------------------------------------------------
 
 MM_CAND = 3          # candidate segments per point
@@ -666,49 +666,12 @@ def _viterbi_track(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return out
 
 
-def q_map_match(sf_dir: str):
-    """HMM-style map matching: snap each user's event track onto the
-    deterministic road lattice with a Viterbi DP (emission = squared
-    point-to-segment distance; transition = 0 same segment / small
-    penalty to an adjacent segment / large penalty for a jump) — the
-    trajectory operator behind GPS-trace conflation. The road network
-    is tiny, module-level state shared per worker process (the
-    broadcast small side of SURVEY §2.4); tracks are partition-
-    parallel by user hash. Rows-only (a Viterbi argmin over paths has
-    no ANSI-SQL form); correctness is pinned by a brute-force
-    path-enumeration pytest."""
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def match(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                              "event_id": pd.Series([], dtype="int64"),
-                              "seg_id": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort").reset_index(drop=True)
-        eid = df["event_id"].to_numpy(np.int64)
-        uid = df["user_id"].to_numpy(np.int64)
-        lon, lat = geo.derive_lonlat(eid)
-        out_seg = np.zeros(len(df), dtype=np.int64)
-        starts = np.concatenate(
-            [[0], np.flatnonzero(uid[1:] != uid[:-1]) + 1, [len(df)]])
-        for a, b in zip(starts[:-1], starts[1:]):
-            out_seg[a:b] = _viterbi_track(lon[a:b], lat[a:b])
-        return pd.DataFrame({"user_id": uid, "event_id": eid,
-                             "seg_id": out_seg})
-
-    return joins.partitioned_map(ev, ["user_id"], match,
-                                 num_partitions=16, pre_repartition=False)
-
-
 QUERIES = {
     "max_concurrency": q_max_concurrency,
     "focal_median": q_focal_median,
     "convoy_pairs": q_convoy_pairs,
     "segment_crossings": q_segment_crossings,
     "hex_bins": q_hex_bins,
-    "map_match": q_map_match,
 }
 
 ORACLE = {

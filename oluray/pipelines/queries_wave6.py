@@ -1,6 +1,6 @@
 """Wave-6 catalog: directed n-gram containment join, space-time
-hotspot scan, DBSCAN point labeling, label-propagation communities,
-and PSNR-bounded adaptive image recompression.
+hotspot scan, DBSCAN point labeling and PSNR-bounded adaptive image
+recompression.
 
 Containment extends the dedup family (SURVEY §2 LLM-data ops) with
 the near-SUBSET detector; hotspots/DBSCAN extend the north-rule
@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from oluray.functions import geo
-from oluray.stages import dedup, joins, text
+from oluray.stages import dedup, joins
 
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
@@ -301,27 +301,6 @@ FROM nc
 
 
 # ---------------------------------------------------------------------------
-# label_prop — community detection (rows-only; brute pytest)
-# ---------------------------------------------------------------------------
-
-LP_ROUNDS = 4
-
-
-def q_label_prop(sf_dir: str):
-    """Label-propagation communities over the fuzzy-name (edit
-    distance <= 1) part-name graph — the modularity-style refinement
-    of `entity_clusters` (CC merges chains; LPA keeps only locally
-    dominant labels). Rows-only: the iterative argmax-vote has no
-    ANSI-SQL form; correctness is pinned by a brute synchronous-sweep
-    pytest on the same deterministic rule (max count, min label)."""
-    part = _read(sf_dir, "part", ["p_partkey", "p_name"])
-    pairs = text.fuzzy_pairs_ed1(part, "p_partkey", "p_name",
-                                 num_partitions=16)
-    return joins.label_propagation(pairs, "ka", "kb", rounds=LP_ROUNDS,
-                                   num_partitions=8)
-
-
-# ---------------------------------------------------------------------------
 # recompress_images — PSNR-bounded adaptive recompression (rows-only)
 # ---------------------------------------------------------------------------
 
@@ -394,7 +373,6 @@ QUERIES = {
     "containment_join": q_containment_join,
     "temporal_hotspots": q_temporal_hotspots,
     "dbscan_labels": q_dbscan_labels,
-    "label_prop": q_label_prop,
     "recompress_images": q_recompress_images,
 }
 

@@ -1,6 +1,5 @@
 """Wave-9 catalog: prefix-filtered Jaccard join (PPJoin), Hilbert
-space-filling keys, conjunctive inverted-index search, BM25 scoring,
-promo revenue share, KMV set sketches.
+space-filling keys, BM25 scoring, promo revenue share, KMV set sketches.
 
 `jaccard_prefix` is the SCALE PATH for the exact-Jaccard operator —
 identical output contract to `ngram_jaccard` (same oracle), but
@@ -131,51 +130,6 @@ def _hilbert_sql() -> str:
 
 
 # ---------------------------------------------------------------------------
-# bool_search — conjunctive inverted-index search (docs with ALL terms)
-# ---------------------------------------------------------------------------
-
-BOOL_TERMS = ("merge", "window", "spark")
-
-
-def q_bool_search(sf_dir: str):
-    """Conjunctive boolean retrieval: documents containing ALL query
-    terms, via the inverted-index intersection plan (filter the
-    postings stream to the query terms — a tiny in-task literal set,
-    no broadcast — then one grouped count requiring every term
-    present). The shuffle carries only postings OF THE QUERY TERMS,
-    never the corpus; emits the total match count per doc."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    toks = text.explode_terms(docs)
-
-    def only_terms(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["term"].isin(BOOL_TERMS)]
-
-    hits = toks.map_batches(only_terms, batch_format="pandas")
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("doc_id").agg(
-            n_terms=("term", "nunique"), n_hits=("term", "size"))
-        g = g[g["n_terms"] == len(BOOL_TERMS)]
-        return g.reset_index()[["doc_id", "n_hits"]].astype("int64")
-
-    return joins.partitioned_map(hits, ["doc_id"], agg, num_partitions=8)
-
-
-def _bool_search_sql() -> str:
-    terms = ", ".join(f"'{t}'" for t in BOOL_TERMS)
-    return f"""
-WITH tok AS (
-  SELECT doc_id,
-         unnest(string_split_regex(lower(text), '[^a-z]+')) AS term
-  FROM documents)
-SELECT doc_id, count(*)::BIGINT AS n_hits
-FROM tok WHERE term IN ({terms})
-GROUP BY doc_id
-HAVING count(DISTINCT term) = {len(BOOL_TERMS)}
-"""
-
-
-# ---------------------------------------------------------------------------
 # bm25_topk — BM25 relevance scoring (rows-only; pytest reference)
 # ---------------------------------------------------------------------------
 
@@ -186,8 +140,8 @@ BM25_B = 0.75
 
 def q_bm25_topk(sf_dir: str):
     """BM25 scoring of the corpus against a fixed term query — the
-    retrieval-ranking classic over the same postings stream as
-    `tfidf_topk`. Corpus statistics (N, avgdl, per-term df — three
+    retrieval-ranking classic over the (doc, term, tf) postings
+    stream. Corpus statistics (N, avgdl, per-term df — three
     scalars and a 3-row table) reduce via per-block combiners; the
     per-doc score is one vectorized pass over the (doc, term, tf)
     postings of the QUERY TERMS only. Scores are floats (rows-only
@@ -357,7 +311,6 @@ FROM f
 QUERIES = {
     "jaccard_prefix": q_jaccard_prefix,
     "hilbert_cells": q_hilbert_cells,
-    "bool_search": q_bool_search,
     "bm25_topk": q_bm25_topk,
     "kmv_distinct": q_kmv_distinct,
     "promo_share": q_promo_share,
@@ -366,6 +319,5 @@ QUERIES = {
 ORACLE = {
     "jaccard_prefix": _JACCARD_PREFIX_SQL,
     "hilbert_cells": _hilbert_sql(),
-    "bool_search": _bool_search_sql(),
     "promo_share": _PROMO_SHARE_SQL,
 }

@@ -43,8 +43,8 @@ from oluray.state.checkpoint import write_partitioned_resumable
 
 
 def add_part(t: pa.Table, part_res: int = 2) -> pa.Table:
-    """Geo-delta rows -> + `part`, the sink's partition key: the
-    row's cell coarsened to `part_res`."""
+    """Rows with a `cell` -> + `part`, the sink's partition key: the
+    row's cell coarsened to `part_res` (geo deltas and assignments)."""
     part = geo.cell_parent(t["cell"].to_numpy(zero_copy_only=False), part_res)
     return t.append_column("part", pa.array(part))
 

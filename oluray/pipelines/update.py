@@ -189,14 +189,31 @@ def point_extents(t: pa.Table) -> pa.Table:
     return t
 
 
+def _ordered_sums(v: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """Per-segment sums of the rows of `v`, added in row order
+    (`v[s] + v[s+1] + ...`), so each equals a sequential loop's sum
+    bit for bit; `np.add.reduceat` adds pairwise and does not. One
+    vectorized step per member position, over the segments that
+    still have a member there (longest segments first)."""
+    order = np.argsort(-counts, kind="stable")
+    s, neg = starts[order], -counts[order]
+    acc = v[s].astype(np.float64)
+    for k in range(1, -int(neg[0])):
+        n = int(np.searchsorted(neg, -k))  # segments longer than k
+        acc[:n] += v[s[:n] + k]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
 def seg_stats(df: pd.DataFrame, key: str) -> pd.DataFrame:
     """Per-key centroid AND envelope of member points in member-
-    position order — `np.add.reduceat` sums sequentially within
-    each segment, so the mean is bit-identical to the brute-force
-    in-order mean; min/max reduceats in the SAME pass give the
-    envelope (osm2rdf emits `envelope` per element,
-    reference `tests/data/node.ttl:33-37` — r3). Member
-    rows may carry their own extents (way members of a relation
+    position order — `_ordered_sums` adds each segment's members in
+    that order, so the mean is bit-identical to the brute-force
+    in-order mean; min/max reduceats give the envelope (osm2rdf
+    emits `envelope` per element, reference `tests/data/node.ttl:33-37`
+    — r3). Member rows may carry their own extents (way members of a relation
     contribute their full envelope, not just their centroid);
     point members fall back to lon/lat."""
     if len(df) == 0:
@@ -214,11 +231,12 @@ def seg_stats(df: pd.DataFrame, key: str) -> pd.DataFrame:
     mnla = df["min_lat"].to_numpy() if "min_lat" in df.columns else latv
     mxlo = df["max_lon"].to_numpy() if "max_lon" in df.columns else lonv
     mxla = df["max_lat"].to_numpy() if "max_lat" in df.columns else latv
+    sums = _ordered_sums(np.column_stack([lonv, latv]), starts, counts)
     return pd.DataFrame(
         {
             key: keys[starts],
-            "lon": np.add.reduceat(lonv, starts) / counts,
-            "lat": np.add.reduceat(latv, starts) / counts,
+            "lon": sums[:, 0] / counts,
+            "lat": sums[:, 1] / counts,
             "min_lon": np.minimum.reduceat(mnlo, starts),
             "min_lat": np.minimum.reduceat(mnla, starts),
             "max_lon": np.maximum.reduceat(mxlo, starts),

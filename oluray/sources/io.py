@@ -123,18 +123,6 @@ def write_table(ds: ray.data.Dataset, path: str,
     ds.write_parquet(path, **kw)
 
 
-def read_images(path: str, with_bytes: bool = False) -> ray.data.Dataset:
-    """Read the north-rule image table
-    (image_id, bytes, w, h, fmt, caption, phash). The scale contract
-    (`pipelines/flagship.py`): `bytes` stays OUT of the join pipeline —
-    by default only the metadata projection is read, and row groups
-    holding multi-MB blobs never leave storage."""
-    cols = ["image_id", "w", "h", "fmt", "caption", "phash"]
-    if with_bytes:
-        cols.insert(1, "bytes")
-    return read_table(path, columns=cols)
-
-
 # ---------------------------------------------------------------------------
 # bucketed tables: pre-shuffled storage for shuffle-free later joins
 # ---------------------------------------------------------------------------

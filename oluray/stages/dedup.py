@@ -34,7 +34,6 @@ partials anywhere in this module):
 
 from __future__ import annotations
 
-import hashlib
 import logging
 
 import numpy as np
@@ -49,18 +48,11 @@ from oluray.stages.text import token_hashes_many
 
 logger = logging.getLogger(__name__)
 
-_MERSENNE = np.uint64((1 << 61) - 1)
 
 # per-bucket emission cap: one boilerplate-text bucket must not
 # produce O(n^2) pairs; docs beyond the cap (by ascending doc_id) are
 # dropped and the drop is logged (VERDICT r1 "no silent caps")
 DEFAULT_BUCKET_CAP = 256
-
-
-def md5_hex(texts: pd.Series) -> pd.Series:
-    """Per-row hashlib md5 (kept for callers that need the literal
-    md5 digest; the dedup hot path uses `text_hash128` below)."""
-    return texts.map(lambda t: hashlib.md5(t.encode("utf-8", "surrogatepass")).hexdigest())
 
 
 def text_hash128(texts: pd.Series) -> pd.Series:
@@ -89,12 +81,6 @@ def add_text_hash(batch: pd.DataFrame) -> pd.DataFrame:
     batch = batch.copy()
     batch["text_hash"] = text_hash128(batch["text"])
     return batch
-
-
-# back-compat alias for external callers of the r1 class
-class AddTextHash:
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return add_text_hash(batch)
 
 
 def exact_dedup(docs, id_col: str = "doc_id", concurrency: int = 4,
@@ -222,28 +208,6 @@ def _fold_bands(sigs: np.ndarray, bands: int) -> np.ndarray:
     return folded & np.uint64((1 << 50) - 1)
 
 
-class MinHashSignatures:
-    """doc -> (doc_id, sig) where sig packs the n_perm uint64
-    minhashes as little-endian bytes (n_perm*8 B/doc — 512 B at the
-    default 64 perms; signatures, not texts, are what similarity
-    stages shuffle)."""
-
-    def __init__(self, n_perm: int = 64, shingle_k: int = 5):
-        self.n_perm, self.k = n_perm, shingle_k
-        _perm_coeffs(n_perm)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return pd.DataFrame({"doc_id": [], "sig": []})
-        sigs = _batch_signatures(batch["text"].tolist(), self.k, self.n_perm)
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(),
-                "sig": [row.tobytes() for row in sigs],
-            }
-        )
-
-
 def unpack_sigs(col) -> np.ndarray:
     """Column of packed signature bytes -> (n, n_perm) uint64."""
     rows = list(col)
@@ -300,30 +264,6 @@ def bands_from_sigs(bands: int):
     return fn
 
 
-class MinHashBands:
-    """doc -> (band_id, band_hash, doc_id) rows for LSH bucketing."""
-
-    def __init__(self, n_perm: int = 64, bands: int = 16, shingle_k: int = 5):
-        assert n_perm % bands == 0
-        self.n_perm, self.bands, self.k = n_perm, bands, shingle_k
-        self.rows_per_band = n_perm // bands
-        _perm_coeffs(n_perm)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return pd.DataFrame({"doc_id": [], "band_id": [], "band_hash": []})
-        sigs = _batch_signatures(batch["text"].tolist(), self.k, self.n_perm)
-        folded = _fold_bands(sigs, self.bands)  # (ndocs, bands)
-        ndocs = len(batch)
-        return pd.DataFrame(
-            {
-                "doc_id": np.tile(batch["doc_id"].to_numpy(), self.bands),
-                "band_id": np.repeat(np.arange(self.bands, dtype=np.int64), ndocs),
-                "band_hash": folded.T.reshape(-1).astype(np.int64),
-            }
-        )
-
-
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     inter = len(np.intersect1d(a, b, assume_unique=True))
     union = len(a) + len(b) - inter
@@ -352,13 +292,6 @@ def _hot_buckets_ds(rows, key_cols: list[str], num_partitions: int = 64):
         num_partitions=num_partitions, combine_fn=partial,
         pre_repartition=False,  # input is map-lineage band rows
     )
-
-
-def hot_buckets(rows, key_cols: list[str], num_partitions: int = 64):
-    """Hot-bucket count materialized to a (small) driver DataFrame —
-    the broadcast-path consumer; the size-probed dispatch in
-    `hot_semi_filter` is what decides whether driver-sized is safe."""
-    return _hot_buckets_ds(rows, key_cols, num_partitions).to_pandas()
 
 
 # hot-key sets below this are broadcast (one ~8 B/key array in the
@@ -473,21 +406,6 @@ def _empty_drop_stats(key_cols) -> "ray.data.Dataset":
          "bucket_size": pa.array([], pa.int64()),
          "dropped": pa.array([], pa.int64())}
     ))
-
-
-def _emit_pairs_capped(ids: np.ndarray, cap: int, label: str):
-    """Sorted-unique ids -> (a, b) index pairs with a size cap."""
-    ids = np.unique(ids)
-    if len(ids) > cap:
-        logger.warning(
-            "%s: bucket of %d docs capped to %d (%d pair-source docs dropped)",
-            label, len(ids), cap, len(ids) - cap,
-        )
-        ids = ids[:cap]
-    if len(ids) < 2:
-        return np.empty(0, ids.dtype), np.empty(0, ids.dtype)
-    ai, bi = np.triu_indices(len(ids), 1)
-    return ids[ai], ids[bi]
 
 
 def minhash_lsh_pairs(docs, threshold: float = 0.6, n_perm: int = 64,

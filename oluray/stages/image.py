@@ -1,4 +1,4 @@
-"""Multimodal (image) stages: decode / feature-extract / resize.
+"""Multimodal (image) stages: decode / feature-extract / augment / verify.
 
 The payload table carries encoded images as an opaque `binary` column
 with typed metadata (w, h, fmt) — per BASELINE.json input_hint. Each
@@ -42,36 +42,6 @@ class DecodeStats:
         out = batch.drop_columns(["bytes"])
         out = out.append_column("mean_px", pa.array(np.round(means, 4)))
         return out.append_column("phash_decoded", pa.array(phashes))
-
-
-class Resize:
-    """Nearest-neighbor resize to (out_w, out_h), re-encoded as PNG.
-
-    A real thumbnailing stage (no stub): pure-numpy index-gather
-    resample + the in-repo PNG encoder.
-    """
-
-    def __init__(self, out_w: int = 16, out_h: int = 16):
-        self.out_w, self.out_h = out_w, out_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        thumbs = []
-        for b, f in zip(blobs, fmts):
-            px = imagecodec.decode(b, f)
-            h, w, _ = px.shape
-            ys = (np.arange(self.out_h) * h) // self.out_h
-            xs = (np.arange(self.out_w) * w) // self.out_w
-            thumbs.append(imagecodec.encode_png(px[ys][:, xs]))
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "thumb": pa.array(thumbs, pa.binary()),
-                "thumb_w": pa.array([self.out_w] * len(thumbs), pa.int32()),
-                "thumb_h": pa.array([self.out_h] * len(thumbs), pa.int32()),
-            }
-        )
 
 
 class VerifyPsnr:

@@ -1,8 +1,8 @@
 """Exact distributed per-group quantile selection (histogram refine).
 
-`queries.q_group_quantiles` computes holistic per-group quantiles by
-shipping each group's values to one worker — correct until one group's
-values outgrow a worker. THIS module is the documented scale path: an
+Shipping each group's values to one worker computes holistic
+per-group quantiles correctly until one group's values outgrow a
+worker. THIS module is the documented scale path: an
 iterative distributed selection that finds the EXACT rank-r element of
 each group's sorted multiset without any worker (or the driver) ever
 holding a group's values.

@@ -185,13 +185,6 @@ def token_hashes_many(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return h, counts
 
 
-def token_hashes(text: str) -> np.ndarray:
-    """FNV-1a per ' '-token, uint64 — shared by fingerprint / minhash
-    / simhash so all sketches agree on tokenization."""
-    flat, _ = token_hashes_many([text])
-    return flat
-
-
 class Fingerprint:
     """Rolling polynomial document fingerprint over token hashes
     (order-sensitive; a reordered document fingerprints differently).

@@ -8,6 +8,7 @@ and the final snapshot."""
 
 import glob
 import gzip
+import inspect
 import json
 import os
 
@@ -537,6 +538,42 @@ def test_store_loop_auto_index(tmp_path):
     assert idx.n_buckets == store.n_buckets
 
 
+@pytest.mark.parametrize("test", [
+    test_store_loop_matches_oracle,
+    test_store_apply_prunes_buckets,
+    test_store_apply_idempotent_and_crash_recovery,
+    test_store_loop_resume_mid_window,
+    test_indexed_loop_matches_plain_store_loop,
+    test_indexed_loop_crash_between_store_and_index_apply,
+    test_store_loop_auto_index,
+], ids=lambda t: t.__name__)
+def test_store_windows_on_delta_log(test, request, monkeypatch):
+    """The window tests above with compaction off: fixture kinds are a
+    few KB, so under the default bounds every window compacts and
+    their reads never merge a live delta. Here every window appends
+    delta files and no window compacts, so the same assertions cover
+    the delta-merge reads."""
+    from oluray.state import lsm
+
+    monkeypatch.setattr(lsm, "MAX_DELTA_FRACTION", float("inf"))
+    monkeypatch.setattr(lsm, "MAX_DELTA_FILES", 1 << 30)
+    calls = {"append": 0, "compact": 0}
+
+    def counted(name):
+        real = getattr(lsm.DeltaLog, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lsm.DeltaLog, name, counted(name))
+    test(**{p: request.getfixturevalue(p)
+            for p in inspect.signature(test).parameters})
+    assert calls["append"] > 0 and calls["compact"] == 0
+
+
 # ---------------------------------------------------------------------------
 # delta log (`state.lsm`): per-window delta files, compaction, reopen
 # ---------------------------------------------------------------------------
@@ -716,12 +753,7 @@ def test_delta_log_matches_oracle(tmp_path, monkeypatch, replication_oracle):
         got = pq.read_table(f"{tmp_path}/logged_geo/{w['window_id']}").to_pandas()
         got = got.sort_values(["kind", "id"]).reset_index(drop=True)[cols]
         got["kind"] = got["kind"].astype(object)
-        # `seg_stats` sums with np.add.reduceat, the oracle in a Python
-        # loop: centroids may differ in the last bit (way 5004 here)
-        keys = ["kind", "id", "cell"]
-        pos = [c for c in cols if c not in keys]
-        pd.testing.assert_frame_equal(got[keys], exp[keys], check_exact=True)
-        pd.testing.assert_frame_equal(got[pos], exp[pos], rtol=1e-12)
+        pd.testing.assert_frame_equal(got, exp[cols], check_exact=True)
     exp_idx = RefIndex.create(
         str(tmp_path / "oracle_idx"), ray.data.from_arrow(exp_snap["ways"]),
         ray.data.from_arrow(exp_snap["relations"]), n_buckets=16)
@@ -768,6 +800,53 @@ def test_delta_log_matches_oracle(tmp_path, monkeypatch, replication_oracle):
         assert "compaction" in idx.window_manifest(w["window_id"])
     assert not store._logs["nodes"].live() and not idx.log.live()
     check(store, idx)
+
+
+def test_seg_stats_adds_members_in_order():
+    """Each centroid equals a sequential in-order sum over the key's
+    members, bit for bit, for segments of 1 to 40 rows given in any
+    row order."""
+    from oluray.pipelines.update import seg_stats
+
+    rng = np.random.default_rng(0)
+    lens = rng.integers(1, 41, 500)
+    pts = rng.uniform(-90.0, 90.0, (int(lens.sum()), 2))
+    df = pd.DataFrame({"k": np.repeat(np.arange(500), lens),
+                       "pos": np.concatenate([np.arange(n) for n in lens]),
+                       "lon": pts[:, 0], "lat": pts[:, 1]})
+    got = seg_stats(df.sample(frac=1.0, random_state=1), "k")
+    exp, off = [], 0
+    for n in lens:
+        sx = sy = 0.0
+        for x, y in pts[off:off + n]:
+            sx += x
+            sy += y
+        exp.append((sx / n, sy / n))
+        off += n
+    assert list(zip(got["lon"], got["lat"])) == exp
+
+
+def test_way_centroid_adds_members_in_order(store_windows, replication_oracle):
+    """A way centroid is the mean of its member locations added in
+    member order, bit for bit: moving node 1000 to (1.5, 2.5) gives
+    way 5004 a latitude sum that pairwise addition rounds differently
+    in the last bit."""
+    nodes_t, ways_t, rels_t = _snap_tables()
+    row = {"op": "modify", "kind": "node", "id": 1000, "version": 9,
+           "ts": 1_700_000_000_000, "payload": _payload(lon=1.5, lat=2.5)}
+    store, idx = store_windows.store(nodes_t, ways_t, rels_t)
+    _, out = store_windows.apply(
+        store, idx, pa.Table.from_pylist([row], schema=fixtures.CHANGES_SCHEMA))
+    (exp,), _ = replication_oracle(nodes_t, ways_t, rels_t, [[row]])
+
+    def way_5004(df):
+        df = df[(df["kind"] == "way") & (df["id"] == 5004)]
+        return df[["lon", "lat", "min_lon", "min_lat", "max_lon",
+                   "max_lat"]].reset_index(drop=True)
+
+    assert len(way_5004(exp)) == 1
+    pd.testing.assert_frame_equal(way_5004(out["geo_delta"].to_pandas()),
+                                  way_5004(exp), check_exact=True)
 
 
 def test_window_without_compaction_rewrites_no_bucket(store_windows, monkeypatch):
