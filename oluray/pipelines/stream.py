@@ -8,7 +8,7 @@ index (`state.refindex.RefIndex`).
 Every window, from the feed loop (`run_replication_windows_store`) or
 from local change files (`apply_changes_window`, the CLI's `--input`
 path), runs the same body, `apply_merged_window`: diff-proportional
-`update.apply_update` -> resumable geo-delta sink -> index delta
+`update.update_window` -> resumable geo-delta sink -> index delta
 staged -> store deltas committed -> index delta committed.
 
 Resume semantics (what a crash mid-backfill costs): each window's
@@ -19,12 +19,12 @@ the already-written partitions and the committed windows — geometry
 rows land exactly once, and a half-applied window converges.
 
 Scale notes: a feed window is fetched and parsed on the driver and
-stays a driver table through merge, apply and commit while its merged
-row count fits `closure.DRIVER_WINDOW_ROWS` — a minutely
-window's only Ray Data execution is the geo-delta sink write; larger
-windows (or lazy inputs) run every step as Ray Data dataflow. A window
-writes one delta file per changed store kind and one for the index,
-and rewrites no bucket unless it passes a compaction bound
+stays an Arrow table through merge, apply, geo-delta sink and commit
+while its row count fits `closure.DRIVER_WINDOW_ROWS` — a minutely
+window starts no Ray Data execution; larger windows (or lazy inputs)
+run every step as Ray Data dataflow. A window writes one delta file
+per changed store kind and one for the index, and rewrites no
+bucket unless it passes a compaction bound
 (`state.lsm`); geometry deltas are partitioned by coarse geo cell
 (`geo.cell_parent`), the same key the flagship sink uses, so a failed
 window resumes per spatial region.
@@ -38,6 +38,7 @@ import ray.data
 from oluray.functions import geo
 from oluray.pipelines import update as upd
 from oluray.sources import replication as rep
+from oluray.stages import closure
 from oluray.stages.diff import EmptyDiffError
 from oluray.state.checkpoint import write_partitioned_resumable
 
@@ -52,7 +53,7 @@ def add_part(t: pa.Table, part_res: int = 2) -> pa.Table:
 def apply_merged_window(
     store,
     ref_index,
-    merged: ray.data.Dataset,
+    merged: "pa.Table | ray.data.Dataset",
     out_dir: str,
     window_id: str,
     cell_res: int = 12,
@@ -61,17 +62,21 @@ def apply_merged_window(
     artifact_dir: str | None = None,
 ) -> dict:
     """The one window body: apply a latest-wins-merged window
-    (`diff.merge_latest_wins`, materialized) to `store` with
-    `ref_index`, write its geo delta to `<out_dir>/<window_id>`
-    through the resumable sink, then commit — stage the index delta,
-    append the store's deltas (one file per changed kind, sorted by
-    id; the store manifest records the buckets the changed ids hash
-    to), commit the index delta. The reference's in-place
-    point-update semantics (`src/osm/OsmChangeHandler.cpp:493-575`)
-    made durable: write cost per window is O(diff), not O(snapshot),
-    plus the amortized compaction (`state.lsm`). A materialized
-    window of at most `closure.DRIVER_WINDOW_ROWS` rows runs apply,
-    staging and commit on driver tables.
+    (`diff.merge_latest_wins_table`, or `merge_latest_wins`
+    materialized) to `store` with `ref_index`, write its geo delta to
+    `<out_dir>/<window_id>` through the resumable sink, then commit —
+    stage the index delta, append the store's deltas (one file per
+    changed kind, sorted by id; the store manifest records the buckets
+    the changed ids hash to), commit the index delta. The reference's
+    in-place point-update semantics (`src/osm/OsmChangeHandler.cpp:
+    493-575`) made durable: write cost per window is O(diff), not
+    O(snapshot), plus the amortized compaction (`state.lsm`).
+
+    A `pa.Table` window passes through; a materialized one of at most
+    `closure.DRIVER_WINDOW_ROWS` rows is unwrapped once
+    (`closure.local_table`). From there on apply, sink, staging and
+    commit pass driver tables and, in endpoint mode, start no Ray Data
+    execution. A lazy or larger window runs them as Ray Data dataflow.
 
     Ordering contract: the geo-delta sink is consumed BEFORE the store
     commits (a distributed window's delta lineage lazily reads the
@@ -88,13 +93,19 @@ def apply_merged_window(
     Returns {window_id, partitions, rows} of the sink, plus
     `artifact` (file modes) or the touched `store_buckets` and
     `index_buckets` (endpoint mode)."""
-    out = upd.apply_update(
+    if not isinstance(merged, pa.Table):
+        t = closure.local_table(merged, closure.DRIVER_WINDOW_ROWS)
+        merged = merged if t is None else t
+    out = upd.update_window(
         merged, store, ref_index, cell_res=cell_res,
         output_mode=output_mode, output_dir=artifact_dir,
     )
-    delta = out["geo_delta"].map_batches(
-        add_part, fn_kwargs={"part_res": part_res}, batch_format="pyarrow"
-    )
+    delta = out["geo_delta"]
+    if isinstance(delta, pa.Table):
+        delta = add_part(delta, part_res)
+    else:
+        delta = delta.map_batches(
+            add_part, fn_kwargs={"part_res": part_res}, batch_format="pyarrow")
     man = write_partitioned_resumable(
         delta, f"{out_dir}/{window_id}", window_id, part_col="part"
     )
@@ -142,7 +153,7 @@ def run_replication_windows_store(
     snapshot; without one, the index co-located under the store root
     is loaded or built (`_ensure_ref_index`). A store+index pair must
     be kept in lockstep: always pass the index once it exists."""
-    from oluray.stages.diff import merge_latest_wins
+    from oluray.stages.diff import merge_latest_wins, merge_latest_wins_table
 
     latest = client.latest_state()["sequence"]
     start = rep.decide_start_sequence(client, sequence, timestamp)
@@ -156,10 +167,14 @@ def run_replication_windows_store(
     while s <= latest:
         e = min(s + window_size - 1, latest)
         wid = f"w{s:09d}_{e:09d}"
-        changes = rep.fetch_changes(client, s, e)
+        changes = rep.fetch_table(client, s, e)
         w = {"window_id": wid, "first_seq": s, "last_seq": e}
         try:
-            merged = merge_latest_wins(changes).materialize()
+            if changes.num_rows <= closure.DRIVER_WINDOW_ROWS:
+                merged = merge_latest_wins_table(changes)
+            else:
+                merged = merge_latest_wins(
+                    ray.data.from_arrow(changes)).materialize()
         except EmptyDiffError:
             w.update(partitions=0, rows=0, store_buckets={})
         else:

@@ -18,17 +18,21 @@ compositions of the same step list, chosen by one observable
 property — the merged row count against `closure.DRIVER_WINDOW_ROWS`
 (and `broadcast_limit`, when that is lower):
 
-- **driver** (`_DriverOps`): a materialized window that fits — every
-  minutely window and a 100k-move backfill — runs on
-  driver `pa.Table`s: `pa.Table.join`, `pc.is_in` set filters, each
-  per-key kernel once over the whole frame. Context comes from
-  `store.lookup` / `ref_index.owners_of`, whose fast paths read the
-  pruned buckets on the driver. No Ray Data execution.
+- **driver** (`_DriverOps`): a `pa.Table` or materialized window
+  that fits — every minutely window and a 100k-move backfill — runs
+  on driver `pa.Table`s: `pa.Table.join`, `pc.is_in` set filters,
+  each per-key kernel once over the whole frame. Context comes from
+  `store.lookup_table` / `ref_index.owners_of`, which read the pruned
+  buckets on the driver. No Ray Data execution: `update_window`
+  returns the geo delta as a table.
 - **distributed** (`_DatasetOps`): larger windows keep Ray Data
   dataflow — hash-partitioned `joins.hash_join`, size-probed
   `closure.KeySet` semi/anti joins, per-key kernels per hash
   partition (`joins.partitioned_map`); nothing snapshot-sized reaches
   the driver.
+
+`apply_update` is `update_window` with its frames as Datasets, plus
+the window's run counters.
 
 The snapshot delete+insert itself (modify = delete+reinsert,
 `:444-447,578-590`) is the caller's commit step
@@ -380,21 +384,14 @@ class _DriverOps:
         return t
 
     def lookup(self, store, kind, ks, cols):
-        t = closure.local_table(
-            store.lookup(kind, ks, columns=cols).materialize(), limit=None)
+        t = store.lookup_table(kind, ks, columns=cols)
+        if t is None:  # pruned buckets past the driver read bound
+            t = closure.local_table(
+                store.lookup(kind, ks, columns=cols).materialize(), limit=None)
         if t is None:  # a lazy lookup that produced no blocks
             sch = store.schema(kind)
             t = pa.schema([sch.field(c) for c in cols]).empty_table()
         return t
-
-    def dataset(self, t):
-        return ray.data.from_arrow(t)
-
-    def counts(self, t):
-        g = t.group_by(["op", "kind"]).aggregate([("id", "count")])
-        return ray.data.from_arrow(pa.table({
-            "op": g["op"], "kind": g["kind"], "count()": g["id_count"],
-        }).sort_by([("op", "ascending"), ("kind", "ascending")]))
 
 
 class _DatasetOps:
@@ -441,23 +438,41 @@ class _DatasetOps:
     def lookup(self, store, kind, ks, cols):
         return store.lookup(kind, ks, columns=cols)
 
-    def dataset(self, ds):
-        return ds
 
-    def counts(self, ds):
-        return ds.groupby(["op", "kind"]).count()
-
-
-def _ops_for(merged: ray.data.Dataset,
+def _ops_for(merged: "pa.Table | ray.data.Dataset",
              limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT):
     """(ops, frame): the driver composition over the window's table
-    when `merged` is materialized and has at most `limit` and at most
-    `closure.DRIVER_WINDOW_ROWS` rows, else the distributed one over
-    the Dataset itself. `limit` also caps broadcast key sets."""
-    t = closure.local_table(merged, min(limit, closure.DRIVER_WINDOW_ROWS))
+    when `merged` is a `pa.Table` or a materialized Dataset with at
+    most `limit` and at most `closure.DRIVER_WINDOW_ROWS` rows, else
+    the distributed one over the Dataset (a larger table is wrapped).
+    `limit` also caps broadcast key sets."""
+    lim = min(limit, closure.DRIVER_WINDOW_ROWS)
+    if isinstance(merged, pa.Table):
+        if merged.num_rows <= lim:
+            return _DriverOps(limit), merged
+        merged = ray.data.from_arrow(merged)
+    t = closure.local_table(merged, lim)
     if t is not None:
         return _DriverOps(limit), t
     return _DatasetOps(limit), merged
+
+
+def _as_dataset(frame) -> ray.data.Dataset:
+    return ray.data.from_arrow(frame) if isinstance(frame, pa.Table) else frame
+
+
+def op_counts(merged: "pa.Table | ray.data.Dataset") -> ray.data.Dataset:
+    """A4 run counters of a merged window: rows per (op, kind), as a
+    Dataset with a `count()` column (the reference's nine
+    membership-set sizes, `src/osm/OsmChangeHandler.cpp:108-116`)."""
+    t = merged if isinstance(merged, pa.Table) else closure.local_table(
+        merged, closure.DRIVER_WINDOW_ROWS)
+    if t is None:
+        return merged.groupby(["op", "kind"]).count()
+    g = t.group_by(["op", "kind"]).aggregate([("id", "count")])
+    return ray.data.from_arrow(pa.table({
+        "op": g["op"], "kind": g["kind"], "count()": g["id_count"],
+    }).sort_by([("op", "ascending"), ("kind", "ascending")]))
 
 
 def window_changes(ops, frame) -> dict:
@@ -668,8 +683,8 @@ def _geo_delta(ops, frame, ctx, cell_res: int):
     return ops.union(ops.union(node_delta, way_delta), rel_delta)
 
 
-def apply_update(
-    merged: ray.data.Dataset,
+def update_window(
+    merged: "pa.Table | ray.data.Dataset",
     store,
     ref_index,
     cell_res: int = 12,
@@ -678,34 +693,37 @@ def apply_update(
     output_dir: str | None = None,
 ) -> dict:
     """Apply one latest-wins-merged change window (`diff.
-    merge_latest_wins`, materialized) against a `state.snapshot.
-    SnapshotStore` and the `state.refindex.RefIndex` built over the
-    same snapshot. Returns `geo_delta` (recomputed geometry rows —
-    centroid + cell + ENVELOPE — for changed + impacted elements), the
-    impacted id sets and `counts` (A4), as Datasets and KeySets.
+    merge_latest_wins_table`, or `merge_latest_wins` materialized)
+    against a `state.snapshot.SnapshotStore` and the `state.refindex.
+    RefIndex` built over the same snapshot. Returns `geo_delta`
+    (recomputed geometry rows — centroid + cell + ENVELOPE — for
+    changed + impacted elements) as its composition's frame, and the
+    impacted id sets as KeySets.
 
     The window runs DIFF-PROPORTIONALLY: impact closure answers from
     the reverse index's pruned buckets (the reference's SPARQL store
     answers J1-J3 from its triple indexes, `src/sparql/QueryWriter.cpp:
     169-220`), and context rows (member ways/nodes of touched
-    elements) come from `store.lookup` point reads overlaid with this
+    elements) come from store point reads overlaid with this
     window's payloads. Nothing here mutates the store or the index:
     the caller commits the delete+insert and the index maintenance
     after consuming the delta (`stream.apply_merged_window`).
 
-    A materialized window of at most `closure.DRIVER_WINDOW_ROWS`
-    and at most `broadcast_limit` rows runs the driver composition
-    (tables, zero Ray Data executions — every minutely window); a
-    larger one runs the distributed composition, where id sets up to
-    `broadcast_limit` keys ride as broadcast arrays and larger ones
-    switch every membership filter to a hash-partitioned semi join."""
+    A `pa.Table` or materialized window of at most
+    `closure.DRIVER_WINDOW_ROWS` and at most `broadcast_limit` rows
+    runs the driver composition: `geo_delta` is a `pa.Table` and, in
+    endpoint mode, no Ray Data execution starts — every minutely
+    window. A larger one runs the distributed composition and
+    `geo_delta` is a Dataset; there id sets up to `broadcast_limit`
+    keys ride as broadcast arrays and larger ones switch every
+    membership filter to a hash-partitioned semi join."""
     if output_mode not in ("endpoint", "file", "debug_file"):
         raise ValueError(f"unknown output_mode {output_mode!r}")
     if output_mode != "endpoint" and output_dir is None:
         raise ValueError(f"output_mode={output_mode!r} requires output_dir")
     ops, frame = _ops_for(merged, broadcast_limit)
     ctx = _context(ops, frame, store, ref_index)
-    geo_delta = ops.dataset(_geo_delta(ops, frame, ctx, cell_res))
+    geo_delta = _geo_delta(ops, frame, ctx, cell_res)
 
     update_artifact = None
     if output_mode != "endpoint":
@@ -717,6 +735,7 @@ def apply_update(
         # emission's location source is the window-scoped slice of the
         # post-update snapshot: payload nodes plus store point reads of
         # the changed ways' other member nodes
+        merged = _as_dataset(merged)
         refs = closure.distinct_keys(
             closure.explode_way_refs(_payload_ways(merged)),
             "node_id", limit=broadcast_limit,
@@ -743,8 +762,28 @@ def apply_update(
         # sets; `.ds` to consume a backfill-scale set distributed)
         "impacted_ways": ctx.ways_geo,
         "impacted_relations": ctx.rels_geo,
-        "counts": ops.counts(frame),
     }
+
+
+def apply_update(
+    merged: ray.data.Dataset,
+    store,
+    ref_index,
+    cell_res: int = 12,
+    broadcast_limit: int = closure.DEFAULT_BROADCAST_KEY_LIMIT,
+    output_mode: str = "endpoint",
+    output_dir: str | None = None,
+) -> dict:
+    """`update_window` with `geo_delta` as a Dataset, plus `counts`
+    (A4, `op_counts`)."""
+    out = update_window(
+        merged, store, ref_index, cell_res=cell_res,
+        broadcast_limit=broadcast_limit, output_mode=output_mode,
+        output_dir=output_dir,
+    )
+    out["geo_delta"] = _as_dataset(out["geo_delta"])
+    out["counts"] = op_counts(merged)
+    return out
 
 
 def derived_geometry(
@@ -797,8 +836,8 @@ def derived_geometry(
         "rel_id", partial(hull_rows, key="rel_id"),
     )
     return {
-        "hull_delta": ops.dataset(ops.union(way_hulls, rel_hulls)),
-        "area_cover": ops.dataset(area_cover),
+        "hull_delta": _as_dataset(ops.union(way_hulls, rel_hulls)),
+        "area_cover": _as_dataset(area_cover),
     }
 
 

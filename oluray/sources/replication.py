@@ -17,9 +17,9 @@ exactly once and aborts the whole run on a transient failure; every
 fetch here retries with exponential backoff (`retries`, `backoff_s`).
 
 Change files are downloaded serially on the driver, as the reference
-does (`OsmUpdater::fetchChangeFiles`): `fetch_changes` makes plain
+does (`OsmUpdater::fetchChangeFiles`): `fetch_table` makes plain
 `change_bytes` calls, parses on the driver and hands the window on as
-one in-memory Dataset. (An earlier fan-out parsed slices in a Ray
+one Arrow table (`fetch_changes` wraps it as an in-memory Dataset). (An earlier fan-out parsed slices in a Ray
 actor pool; for a window of one or a few small files it cost two pool
 start-ups per window and, at one CPU, held the slot its own input
 needed. From a local mirror on 4 CPUs, catch-up windows of 60 and
@@ -175,18 +175,24 @@ def decide_start_sequence(
     return client.state_for_timestamp(timestamp)["sequence"]
 
 
-def fetch_changes(client: ReplicationClient, start_seq: int,
-                  end_seq: int) -> "ray.data.Dataset":
-    """[start_seq, end_seq] inclusive -> `changes` Dataset (+ `seq`
+def fetch_table(client: ReplicationClient, start_seq: int,
+                end_seq: int) -> pa.Table:
+    """[start_seq, end_seq] inclusive -> `changes` table (+ `seq`
     column), fetched and parsed on the driver in sequence order.
     Retries happen in `ReplicationClient._get`; an exhausted budget
     raises `FetchError` here."""
-    import ray.data
-
     schema = CHANGES_SCHEMA.append(pa.field("seq", pa.int64()))
     rows: list[dict] = []
     for seq in range(start_seq, end_seq + 1):
         for r in osc.parse_osc_bytes(client.change_bytes(seq)):
             r["seq"] = seq
             rows.append(r)
-    return ray.data.from_arrow(pa.Table.from_pylist(rows, schema=schema))
+    return pa.Table.from_pylist(rows, schema=schema)
+
+
+def fetch_changes(client: ReplicationClient, start_seq: int,
+                  end_seq: int) -> "ray.data.Dataset":
+    """`fetch_table` as an in-memory Dataset."""
+    import ray.data
+
+    return ray.data.from_arrow(fetch_table(client, start_seq, end_seq))

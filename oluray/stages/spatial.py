@@ -519,8 +519,9 @@ def _chunks(sizes: np.ndarray, budget: int = 1 << 19):
 class KnnIndex:
     """Cell-bucketed feature index for exact nearest-feature assignment.
 
-    Built once per `knn_join` call on the driver and shipped to stateless
-    tasks by `ray.put`; every field is a numpy array, so a task's
+    Built on the driver for `knn_join` (and reused while its features
+    stay the same, `_knn_index`), then shipped to stateless tasks by
+    `ray.put`; every field is a numpy array, so a task's
     `ray.get` maps it zero-copy. Features (id, lon, lat) are bucketed
     by cell, as CSR over the sorted occupied cells (the IVF-style scale
     path). Per batch, points are grouped by cell; per cell the search
@@ -889,14 +890,33 @@ def _knn_join_batch(batch: pa.Table, index_ref, id_col) -> pa.Table:
     return ray.get(index_ref).assign(batch, id_col)
 
 
+# the last `knn_join` index and copies of the arrays it was built from
+_KNN_MEMO: dict = {}
+
+
+def _knn_index(feature_ids, feat_lon, feat_lat, res: int, k: int) -> KnnIndex:
+    """`KnnIndex` of the features, reused while `(res, k)` and all
+    three arrays equal the previous call's: a window loop joins
+    against the same features window after window."""
+    arrs = tuple(np.asarray(a) for a in (feature_ids, feat_lon, feat_lat))
+    m = _KNN_MEMO
+    if m.get("key") == (res, k) and all(
+            np.array_equal(a, b) for a, b in zip(arrs, m["arrays"])):
+        return m["index"]
+    index = KnnIndex(*arrs, res=res, k=k)
+    m.update(key=(res, k), arrays=tuple(a.copy() for a in arrs), index=index)
+    return index
+
+
 def knn_join(
     points: ray.data.Dataset, feature_ids, feat_lon, feat_lat, k: int = 1,
     res: int = 6, id_col: str = "image_id", batch_size: int = 32768,
 ) -> ray.data.Dataset:
     """Nearest-feature join: (id_col, feature_id, rank, dist_m) rows,
-    k per point. The driver builds the `KnnIndex` once per call and
-    `ray.put`s it; stateless tasks apply it batch by batch."""
-    index_ref = ray.put(KnnIndex(feature_ids, feat_lon, feat_lat, res=res, k=k))
+    k per point. The driver builds the `KnnIndex` (or reuses the
+    previous call's, `_knn_index`) and `ray.put`s it; stateless tasks
+    apply it batch by batch."""
+    index_ref = ray.put(_knn_index(feature_ids, feat_lon, feat_lat, res, k))
     return points.map_batches(
         _knn_join_batch,
         fn_kwargs=dict(index_ref=index_ref, id_col=id_col),

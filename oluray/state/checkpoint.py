@@ -125,11 +125,13 @@ def _is_swap_artifact(dirname: str) -> bool:
     return dirname.endswith(".old") or dirname.endswith(".compact-tmp")
 
 
-def write_partition(table, out_dir: str, part: str) -> str:
-    """Atomically (re)write one partition directory of parquet."""
+def write_partition(table, out_dir: str, part: str,
+                    part_col: str = "part") -> str:
+    """Atomically (re)write one partition directory of parquet,
+    `<part_col>=<part>` (`part` as it appears in the dir name)."""
     import pyarrow.parquet as pq
 
-    final = os.path.join(out_dir, f"part={part}")
+    final = os.path.join(out_dir, f"{part_col}={part}")
     tmp = final + ".tmp"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
@@ -144,23 +146,27 @@ def write_partition(table, out_dir: str, part: str) -> str:
 def write_partitioned_resumable(
     ds, out_dir: str, window_id: str, part_col: str = "part",
 ) -> Manifest:
-    """Distributed resumable sink: `ds.write_parquet(partition_cols=
-    [part_col])` — workers write hive-style `part=<value>/` dirs in
-    parallel (no driver-side row funnel) — plus a manifest that makes
-    the whole thing idempotent per window:
+    """Resumable partitioned sink: hive-style `part=<value>/` dirs plus
+    a manifest that makes the write idempotent per window. `ds` is a
+    Ray Dataset, written by `ds.write_parquet(partition_cols=
+    [part_col])` — workers write in parallel, no driver-side row
+    funnel — or a driver `pa.Table`, written on the driver one
+    partition at a time (no Ray Data execution):
 
     1. stale cleanup: any on-disk partition dir NOT marked done in the
        current window's manifest is deleted (delete-then-insert — the
        reference's idempotence, `src/osm/OsmChangeHandler.cpp:101-103`);
     2. rows whose partition is already done are filtered out BEFORE
        the write (broadcast key set, no shuffle);
-    3. after the write, per-partition row counts come from the parquet
-       footers and each partition is checkpointed with lineage +
-       throughput metrics.
+    3. a Dataset is written in one distributed write, then
+       per-partition row counts come from the parquet footers; a table
+       writes each not-done partition with `write_partition` (atomic
+       tmp dir + rename, same dir names and file columns as the
+       distributed write) and counts its rows from the table. Each
+       partition is checkpointed with lineage + throughput metrics.
     """
     import glob as _glob
 
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -182,6 +188,17 @@ def write_partitioned_resumable(
         key = _dir_key(os.path.basename(d))
         if key not in done_parts:
             shutil.rmtree(d)
+
+    if isinstance(ds, pa.Table):
+        for key, rows, seconds in _write_table_partitions(
+                ds, out_dir, part_col, done_parts):
+            man.mark_done(
+                key, rows, seconds,
+                lineage={"window_id": window_id, "partition": key},
+                save=False,  # one atomic manifest write below, not O(P)
+            )
+        man.save()
+        return man
 
     # 2. skip finished partitions (broadcast filter). Manifest keys are
     # hive-dir strings; they are cast to the partition column's NATIVE
@@ -227,6 +244,41 @@ def write_partitioned_resumable(
         )
     man.save()
     return man
+
+
+def _write_table_partitions(table, out_dir: str, part_col: str,
+                            done_parts: set[str]):
+    """Steps 2-3 of `write_partitioned_resumable` for a driver table:
+    yields (key, rows, seconds) per partition written. Keys are the
+    partition values as Arrow casts them to strings — the values the
+    distributed write names its hive dirs by, URL-encoded in the dir
+    name as there — and the files leave the partition column out, as
+    hive files do."""
+    from urllib.parse import quote
+
+    import numpy as np
+    import pyarrow.compute as pc
+
+    if table.num_rows == 0:
+        return
+    keys = pc.cast(table[part_col], "string")
+    if keys.null_count:
+        raise ValueError(
+            "partition column contains nulls — the resumable sink "
+            "needs a non-null partition key per row"
+        )
+    order = pc.sort_indices(keys)  # stable: rows keep their order
+    rows = table.drop_columns([part_col]).take(order)
+    keys = keys.take(order).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    for s, e in zip(starts, np.r_[starts[1:], len(keys)]):
+        key = str(keys[s])
+        if key in done_parts:
+            continue
+        t0 = time.perf_counter()
+        write_partition(rows.slice(s, e - s), out_dir, quote(key, safe=""),
+                        part_col)
+        yield key, int(e - s), time.perf_counter() - t0
 
 
 def compact_partitions(

@@ -194,39 +194,19 @@ class SnapshotStore:
         storage). `keys` is a `closure.KeySet` or array-like; a
         dataset-backed KeySet (backfill windows beyond the broadcast
         budget) falls back to a full streaming read + distributed
-        semi-join — correct at any size, pruned when small."""
-        from oluray.stages.closure import (
-            KeySet, broadcast_keys, semi_join, wrap_keys,
-        )
+        semi-join — correct at any size, pruned when small. Reads
+        that fit `lookup_table` come back as its table, wrapped."""
+        from oluray.stages.closure import broadcast_keys, semi_join, wrap_keys
 
-        ks = keys if isinstance(keys, KeySet) else wrap_keys(keys)
+        ks = wrap_keys(keys)
+        t = self.lookup_table(kind, ks, columns)
+        if t is not None:
+            return ray.data.from_arrow(t)
         cols = columns or self.kinds[kind]
-        out_schema = self._project(kind, cols)
         if not ks.is_broadcast:
             return semi_join(self.read(kind, columns=cols), "id", ks,
-                             schema=out_schema)
-        ids = ks.to_array()
-        kind_dir = os.path.join(self.root, kind)
-        lsm.recover(kind_dir)
-        ups = out_schema.empty_table()
-        view = self._view(kind)
-        if view is not None and len(ids):
-            v = view.filter(pc.is_in(view["id"], value_set=pa.array(ids, pa.int64())))
-            ids = np.setdiff1d(ids, v["id"].to_numpy(zero_copy_only=False))
-            ups = v.filter(pc.invert(v[lsm.DELETED])).select(cols).cast(out_schema)
-        files = lsm.bucket_files(
-            kind_dir, np.unique(lsm.bucket_of(ids, self.n_buckets)))
-        if not files:
-            return ray.data.from_arrow(ups)
-        if sum(os.path.getsize(f) for f in files) <= LOCAL_READ_BYTES:
-            # diff-proportional fast path: the touched buckets fit a
-            # single driver read — one pq scan + one vectorized filter
-            # instead of a Ray job PER CONSUMER of the (lazy) lookup.
-            # The result is a materialized small table, so downstream
-            # overlays never re-read the files either.
-            t = lsm.read_files(files, out_schema)
-            mask = pc.is_in(t["id"], value_set=pa.array(ids, pa.int64()))
-            return ray.data.from_arrow(pa.concat_tables([t.filter(mask), ups]))
+                             schema=self._project(kind, cols))
+        ids, ups, files = self._point_read(kind, ks.to_array(), cols)
         ds = ray.data.read_parquet(files, columns=cols)
         ref = broadcast_keys(ids)
 
@@ -238,6 +218,42 @@ class SnapshotStore:
 
         ds = ds.map_batches(keep, batch_format="pyarrow")
         return ds.union(ray.data.from_arrow(ups)) if ups.num_rows else ds
+
+    def lookup_table(self, kind: str, keys,
+                     columns: list[str] | None = None) -> pa.Table | None:
+        """`lookup` on the driver: one pq scan of the buckets the ids
+        hash to plus one vectorized filter, no Ray job. None when the
+        keys are dataset-backed or those buckets pass
+        `LOCAL_READ_BYTES` (`lookup` then streams them)."""
+        from oluray.stages.closure import wrap_keys
+
+        ks = wrap_keys(keys)
+        if not ks.is_broadcast:
+            return None
+        cols = columns or self.kinds[kind]
+        ids, ups, files = self._point_read(kind, ks.to_array(), cols)
+        if not files:
+            return ups
+        if sum(os.path.getsize(f) for f in files) > LOCAL_READ_BYTES:
+            return None
+        t = lsm.read_files(files, self._project(kind, cols))
+        mask = pc.is_in(t["id"], value_set=pa.array(ids, pa.int64()))
+        return pa.concat_tables([t.filter(mask), ups])
+
+    def _point_read(self, kind: str, ids: np.ndarray, cols: list[str]):
+        """(the ids the live deltas do not name, the upserts they hold
+        for `ids` in `cols`, the bucket files the other ids hash to)."""
+        kind_dir = os.path.join(self.root, kind)
+        lsm.recover(kind_dir)
+        ups = self._project(kind, cols).empty_table()
+        view = self._view(kind)
+        if view is not None and len(ids):
+            v = view.filter(pc.is_in(view["id"], value_set=pa.array(ids, pa.int64())))
+            ids = np.setdiff1d(ids, v["id"].to_numpy(zero_copy_only=False))
+            ups = v.filter(pc.invert(v[lsm.DELETED])).select(cols).cast(ups.schema)
+        files = lsm.bucket_files(
+            kind_dir, np.unique(lsm.bucket_of(ids, self.n_buckets)))
+        return ids, ups, files
 
     # -- window commit -----------------------------------------------
 

@@ -69,25 +69,27 @@ class StoreWindows:
               **body_kw):
         """Latest-wins merge `changes` (a table or Dataset) and run it
         as one window; the geo delta lands in `<store root>.geo`.
-        Returns (the body's result, `apply_update`'s output), the
-        output's Datasets materialized before the store commits.
-        `apply_kw` reaches `apply_update` only (e.g. `broadcast_limit`)."""
+        Returns (the body's result, `update_window`'s output with
+        `geo_delta` as a Dataset and `counts` added, as `apply_update`
+        returns them), materialized before the store commits.
+        `apply_kw` reaches `update_window` only (e.g.
+        `broadcast_limit`)."""
         from oluray.pipelines import stream
         from oluray.pipelines import update as upd
         from oluray.stages.diff import merge_latest_wins
 
         merged = merge_latest_wins(_dataset(changes)).materialize()
-        real, seen = upd.apply_update, {}
+        real, seen = upd.update_window, {}
 
-        def spy(*a, **kw):
-            out = real(*a, **kw, **(apply_kw or {}))
-            for k in ("geo_delta", "counts"):
-                out[k] = out[k].materialize()
+        def spy(window, *a, **kw):
+            out = real(window, *a, **kw, **(apply_kw or {}))
             seen.update(out)
+            seen["geo_delta"] = _dataset(out["geo_delta"]).materialize()
+            seen["counts"] = upd.op_counts(window).materialize()
             return out
 
         with self.monkeypatch.context() as m:
-            m.setattr(upd, "apply_update", spy)
+            m.setattr(upd, "update_window", spy)
             res = stream.apply_merged_window(
                 store, idx, merged, store.root + ".geo", window_id,
                 **body_kw,

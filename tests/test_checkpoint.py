@@ -3,8 +3,12 @@
 import glob
 import json
 import os
+import shutil
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
 from oluray.pipelines import flagship
@@ -81,30 +85,118 @@ def test_partial_resume(tmp_path):
 def test_resume_with_encoded_string_partition_keys(tmp_path):
     """Hive dirs URL-encode special chars ('a b' -> part=a%20b); the
     manifest must store DECODED keys or the resume filter misses and
-    rows get written twice."""
-    import pyarrow as pa
-    import ray
-
-    out = str(tmp_path / "enc")
+    rows get written twice. Same for Dataset and table input."""
     t = pa.table(
         {"v": pa.array([1, 2, 3, 4], pa.int64()),
          "part": pa.array(["a b", "a b", "c/d", "c/d"])}
     )
-    man1 = checkpoint.write_partitioned_resumable(
-        ray.data.from_arrow(t), out, "w1", part_col="part"
-    )
-    assert sorted(man1.partitions) == ["a b", "c/d"]
-    rows1 = {p: i["rows"] for p, i in man1.partitions.items()}
-    # rerun: everything must be SKIPPED (not duplicated)
-    man2 = checkpoint.write_partitioned_resumable(
-        ray.data.from_arrow(t), out, "w1", part_col="part"
-    )
-    assert {p: i["rows"] for p, i in man2.partitions.items()} == rows1
-    total = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in glob.glob(os.path.join(out, "part=*", "*.parquet"))
-    )
-    assert total == 4  # no duplicate rows after the rerun
+    for kind in SINK_INPUTS:
+        out = str(tmp_path / f"enc_{kind}")
+        man1 = checkpoint.write_partitioned_resumable(
+            _sink_input(kind, t), out, "w1", part_col="part"
+        )
+        assert sorted(man1.partitions) == ["a b", "c/d"]
+        assert sorted(os.listdir(out)) == [
+            "_manifest.json", "part=a%20b", "part=c%2Fd"]
+        rows1 = {p: i["rows"] for p, i in man1.partitions.items()}
+        # rerun: everything must be SKIPPED (not duplicated)
+        man2 = checkpoint.write_partitioned_resumable(
+            _sink_input(kind, t), out, "w1", part_col="part"
+        )
+        assert {p: i["rows"] for p, i in man2.partitions.items()} == rows1
+        total = sum(
+            pq.ParquetFile(f).metadata.num_rows
+            for f in glob.glob(os.path.join(out, "part=*", "*.parquet"))
+        )
+        assert total == 4  # no duplicate rows after the rerun
+
+
+SINK_INPUTS = ("dataset", "table")
+
+
+def _sink_input(kind, t):
+    return ray.data.from_arrow(t) if kind == "dataset" else t
+
+
+def _keyed(n=60, parts=4, scale=3):
+    k = np.arange(n, dtype=np.int64)
+    return pa.table({"k": k, "v": k * scale, "part": k % parts})
+
+
+def _sink_rows(out):
+    """(k, v) rows read back through the hive dirs, sorted by k."""
+    return pq.read_table(out, columns=["k", "v"]).sort_by("k")
+
+
+@pytest.mark.parametrize("kind", SINK_INPUTS)
+def test_sink_partial_resume(tmp_path, kind):
+    """A partition marked pending with its dir gone is rewritten on
+    the re-run; the finished ones are skipped, and no row doubles."""
+    out = str(tmp_path / "out")
+    t = _keyed()
+    man = checkpoint.write_partitioned_resumable(_sink_input(kind, t), out, "w1")
+    assert {p: i["rows"] for p, i in man.partitions.items()} == \
+        {"0": 15, "1": 15, "2": 15, "3": 15}
+    stamps = {p: i["finished_at"] for p, i in man.partitions.items()}
+    victim = sorted(man.partitions)[0]
+    man.partitions[victim]["status"] = "pending"
+    man.save()
+    shutil.rmtree(os.path.join(out, f"part={victim}"))
+    man2 = checkpoint.write_partitioned_resumable(_sink_input(kind, t), out, "w1")
+    assert all(man2.is_done(p) for p in stamps)
+    assert {p: i["finished_at"] for p, i in man2.partitions.items()
+            if p != victim} == {p: s for p, s in stamps.items() if p != victim}
+    assert _sink_rows(out).equals(t.select(["k", "v"]))
+
+
+@pytest.mark.parametrize("kind", SINK_INPUTS)
+def test_sink_removes_stale_partitions(tmp_path, kind):
+    """A new window replaces the old one's partitions, and a partition
+    dir its manifest does not mark done is deleted before the write."""
+    out = str(tmp_path / "out")
+    checkpoint.write_partitioned_resumable(_sink_input(kind, _keyed()), out, "w1")
+    w2 = _keyed(20, parts=2, scale=5)
+    man = checkpoint.write_partitioned_resumable(_sink_input(kind, w2), out, "w2")
+    assert sorted(man.partitions) == ["0", "1"]
+    assert sorted(d for d in os.listdir(out) if d.startswith("part=")) == \
+        ["part=0", "part=1"]
+    assert _sink_rows(out).equals(w2.select(["k", "v"]))
+    # an orphan dir (a crashed writer's) is swept on the next run
+    orphan = os.path.join(out, "part=7")
+    os.makedirs(orphan)
+    pq.write_table(pa.table({"k": [999], "v": [0]}),
+                   os.path.join(orphan, "x.parquet"))
+    checkpoint.write_partitioned_resumable(_sink_input(kind, w2), out, "w2")
+    assert not os.path.exists(orphan)
+    assert _sink_rows(out).equals(w2.select(["k", "v"]))
+
+
+def test_table_sink_crash_at_kth_partition_reruns_without_duplicates(
+        tmp_path, monkeypatch):
+    """A table write that dies inside `write_partition` at the third
+    partition (its tmp dir left behind) re-runs to the same rows, each
+    once, with every partition done."""
+    out = str(tmp_path / "out")
+    t = _keyed(80, parts=5)
+    real, calls = checkpoint.write_partition, []
+
+    def crash_third(table, out_dir, part, part_col="part"):
+        calls.append(part)
+        if len(calls) == 3:
+            os.makedirs(os.path.join(out_dir, f"{part_col}={part}.tmp"))
+            raise OSError("write failed")
+        return real(table, out_dir, part, part_col)
+
+    monkeypatch.setattr(checkpoint, "write_partition", crash_third)
+    with pytest.raises(OSError):
+        checkpoint.write_partitioned_resumable(t, out, "w1")
+    assert len(glob.glob(os.path.join(out, "part=*"))) == 3
+    man = checkpoint.write_partitioned_resumable(t, out, "w1")
+    assert sorted(man.partitions) == ["0", "1", "2", "3", "4"]
+    assert all(man.is_done(p) for p in man.partitions)
+    assert sum(i["rows"] for i in man.partitions.values()) == 80
+    assert not glob.glob(os.path.join(out, "*.tmp"))
+    assert _sink_rows(out).equals(t.select(["k", "v"]))
 
 
 def test_run_job_entrypoint(tmp_path):

@@ -135,6 +135,43 @@ def test_knn_index_same_in_small_chunks(monkeypatch):
     np.testing.assert_array_equal(split.pre_cands, whole.pre_cands)
 
 
+def test_knn_join_reuses_index_while_features_stay(monkeypatch):
+    """Two calls with the same features build the index once; moving
+    one feature rebuilds it. Every result matches brute force."""
+    builds = []
+
+    class Counted(spatial.KnnIndex):
+        def __init__(self, *a, **kw):
+            builds.append(1)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(spatial, "KnnIndex", Counted)
+    monkeypatch.setattr(spatial, "_KNN_MEMO", {})
+    rng = np.random.default_rng(9)
+    fid = np.arange(300, dtype=np.int64)
+    flon = np.round(rng.uniform(-179, 179, 300), 7)
+    flat_ = np.round(rng.uniform(-84, 84, 300), 7)
+    pts = _points(800, seed=9)
+    ds = ray.data.from_arrow(pts)
+
+    def nearest(flon):
+        got = (spatial.knn_join(ds, fid, flon, flat_, k=1, res=5)
+               .to_pandas().set_index("image_id"))
+        bi, bd = spatial.knn_brute(
+            pts["lon"].to_numpy(), pts["lat"].to_numpy(), flon, flat_, k=1)
+        for i, pid in enumerate(pts["image_id"].to_pylist()):
+            assert got.loc[pid, "feature_id"] == fid[bi[i, 0]], pid
+            assert got.loc[pid, "dist_m"] == round(float(bd[i, 0]), 3), pid
+
+    nearest(flon)
+    nearest(flon.copy())
+    assert len(builds) == 1
+    moved = flon.copy()
+    moved[int(np.argmin(np.abs(moved)))] += 90.0
+    nearest(moved)
+    assert len(builds) == 2
+
+
 def test_knn_high_latitude_exactness():
     # meridian convergence: nearest-by-meters != nearest-by-degrees
     fid = np.arange(100, dtype=np.int64)

@@ -1,11 +1,15 @@
 """Regenerate CATALOG.md from the driver-contract registry
-docstrings. Run from the repo root: python tools/gen_catalog.py"""
+docstrings of the checkout this script lives in:
+python tools/gen_catalog.py"""
 import inspect
+import os
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def main() -> None:
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as e
 
     q, o = e.queries(), e.oracle_sql()
@@ -20,7 +24,7 @@ def main() -> None:
         kind = "oracle" if name in o else "rows-only"
         rows.append((name, kind, mod, first))
 
-    with open("CATALOG.md", "w") as f:
+    with open(os.path.join(ROOT, "CATALOG.md"), "w") as f:
         f.write("# Query catalog\n\n")
         f.write(f"{len(q)} driver-contract queries: "
                 f"{len(o)} DuckDB-oracle hash-exact, "
